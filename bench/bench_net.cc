@@ -2,9 +2,12 @@
 // wire protocol measured at two shapes —
 //
 //   BM_NetFetchReportRoundTrip   one connection, width-1 session: the
-//                                localhost round-trip floor of a fetch +
-//                                report pair (encode → send → epoll →
-//                                decode → serve → reply → decode).
+//                                localhost floor of a fetch + report pair.
+//                                One wire round trip per pair: report()
+//                                only sends (its ack is pipelined), and
+//                                the next fetch_into reads that ack ahead
+//                                of its own reply (encode → send → epoll
+//                                → decode → serve → reply → decode).
 //   BM_NetManyConnections/C      a C-connection soak (64 / 256 / 1024)
 //                                through apps::run_loadgen's loopback
 //                                mode: one rank per connection, sessions

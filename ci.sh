@@ -7,6 +7,9 @@
 #   scalar   forced-scalar SIMD fallback, full ctest suite
 #   tsan     ThreadSanitizer build, tier1-tsan labelled tests
 #
+# then the end-to-end benchmark's own tests (perfbench ledger and compare
+# logic; builds into .bench_build on first use).
+#
 # Usage: ./ci.sh            (from the repository root)
 set -e
 for wf in ci ci-scalar ci-tsan; do
@@ -16,4 +19,6 @@ done
 echo "==== tuning_shootout --smoke ===="
 ./build/examples/tuning_shootout --smoke \
   --json=build/BENCH_shootout.json > /dev/null
+echo "==== perfbench selftest ===="
+python3 perfbench/run.py --selftest
 echo "==== verify matrix green ===="

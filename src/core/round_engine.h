@@ -1,8 +1,7 @@
 // The tuning round lifecycle, extracted into one engine (paper §2).
 //
 // Every driver in the system — the synchronous run_session loop, the
-// Harmony client/server front end, the message-passing server rank and the
-// bench harnesses — advances an application through the same
+// Harmony client/server front end and the bench harnesses — advances an application through the same
 // bulk-synchronous round:
 //
 //       ┌────────────┐ open_round ┌────────────┐ close_round ┌───────────┐

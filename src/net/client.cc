@@ -76,6 +76,7 @@ void HarmonyClient::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  unacked_reports_ = 0;
 }
 
 void HarmonyClient::send_buffer() {
@@ -94,6 +95,13 @@ void HarmonyClient::send_buffer() {
       throw NetError("send timed out");
     }
     const int err = errno;
+    // A server that rejected a pipelined report sent an Error frame before
+    // closing; that diagnostic, not the broken pipe it left, is the failure
+    // to surface.  The peer is gone, so these reads cannot block.
+    try {
+      drain_acks();
+    } catch (const NetError&) {
+    }
     close();
     errno = err;
     throw_errno("send");
@@ -149,7 +157,7 @@ const Frame& HarmonyClient::recv_frame() {
   }
 }
 
-const Frame& HarmonyClient::expect_reply(MsgType type) {
+const Frame& HarmonyClient::read_reply(MsgType type) {
   const Frame& f = recv_frame();
   if (f.type == MsgType::kError) {
     std::string message(reinterpret_cast<const char*>(f.body.data()),
@@ -162,6 +170,18 @@ const Frame& HarmonyClient::expect_reply(MsgType type) {
     throw NetError("unexpected reply type from server");
   }
   return f;
+}
+
+void HarmonyClient::drain_acks() {
+  // Reports are acked in the order they were sent, ahead of any later reply.
+  for (; unacked_reports_ > 0; --unacked_reports_) {
+    read_reply(MsgType::kReport);
+  }
+}
+
+const Frame& HarmonyClient::expect_reply(MsgType type) {
+  drain_acks();
+  return read_reply(type);
 }
 
 std::uint32_t HarmonyClient::attach(const std::string& session,
@@ -184,7 +204,9 @@ std::uint32_t HarmonyClient::attach(const std::string& session,
         "Client-observed fetch call latency over the wire (ns)", labels);
     report_ns_ = &options_.metrics->histogram(
         "protuner_net_client_report_ns",
-        "Client-observed report call latency over the wire (ns)", labels);
+        "Client-observed report call latency: the send only, as reports "
+        "are pipelined and their acks read by the next call (ns)",
+        labels);
   }
   return clients;
 }
@@ -226,7 +248,7 @@ void HarmonyClient::report(std::uint32_t rank, double time) {
   append_report(out_, rank, {}, time, options_.wire_version,
                 trace ? &last_trace_ : nullptr);
   send_buffer();
-  expect_reply(MsgType::kReport);
+  ++unacked_reports_;  // the ack is read by the next call that needs a reply
   if (report_ns_ != nullptr) {
     report_ns_->record(
         obs::LatencyClock::to_ns(obs::LatencyClock::now() - entered));
@@ -260,6 +282,9 @@ void HarmonyClient::push_stats(std::uint32_t rank) {
 
 void HarmonyClient::detach(std::uint32_t rank) {
   if (fd_ < 0) return;
+  // Settle the pipelined reports first: a rejected or unacknowledged
+  // report must surface, not vanish among the goodbye's swallowed errors.
+  drain_acks();
   try {
     push_stats(rank);
   } catch (const NetError&) {

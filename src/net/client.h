@@ -15,8 +15,14 @@
 //
 // One connection may drive many ranks (each frame carries the rank), which
 // is how the load generator multiplexes a worker's rank slice over a single
-// socket.  Calls are synchronous request/reply; the class is not
-// thread-safe — one owner thread per client.
+// socket.  attach/fetch_into/push_stats/detach are synchronous
+// request/reply.  report() is pipelined: it writes its frame and returns
+// without waiting for the (empty) ack.  The server applies a connection's
+// frames in order, so a report is applied before any later frame from the
+// same connection; the next call that reads the socket first consumes the
+// outstanding acks, and an Error frame among them is rethrown there as
+// harmony::ProtocolError — a failed report surfaces late, never silently.
+// The class is not thread-safe — one owner thread per client.
 //
 // Steady-state fetch/report is allocation-free: the encode and decode
 // buffers are reused across calls and replies are parsed in place.
@@ -44,8 +50,10 @@ struct ClientOptions {
   /// long for the server to open the round.
   std::chrono::milliseconds io_timeout{60000};
   std::size_t max_frame = kMaxFrameBytes;
-  /// When set, the client records its end-to-end call latencies as
-  /// protuner_net_client_{fetch,report}_ns{session=...} in this registry.
+  /// When set, the client records its call latencies as
+  /// protuner_net_client_{fetch,report}_ns{session=...} in this registry
+  /// (fetch: the round trip; report: the send only, as reports are
+  /// pipelined).
   /// It is also the registry the telemetry push ships from (see
   /// push_stats): detach — and every stats_every_rounds reports when
   /// enabled — sends the delta since the last push as a Stats frame, which
@@ -81,13 +89,19 @@ class HarmonyClient {
   /// misuse/deadline failures; NetError covers the transport.
   void fetch_into(std::uint32_t rank, core::Point& out);
 
-  /// Reports the measured time for `rank`'s outstanding configuration and
-  /// waits for the server's ack (keeping the call ordering identical to
-  /// the in-process API).
+  /// Reports the measured time for `rank`'s outstanding configuration.
+  /// Returns once the frame is written to the socket, not once the server
+  /// has applied it; the server still applies it before any later frame
+  /// of this connection.  A rejected report (e.g. no outstanding fetch)
+  /// throws harmony::ProtocolError from the next call that reads a reply
+  /// — fetch_into, push_stats or detach — or from a later report whose
+  /// send finds the connection already torn down.
   void report(std::uint32_t rank, double time);
 
-  /// Graceful goodbye: pushes any outstanding metric deltas, then the
-  /// server acks and closes; so does the client.
+  /// Graceful goodbye: reads the acks of pipelined reports (rethrowing a
+  /// rejected one as harmony::ProtocolError), pushes any outstanding
+  /// metric deltas, then the server acks and closes; so does the client.
+  /// Once it returns, every report of this connection has been applied.
   void detach(std::uint32_t rank);
 
   /// Ships the delta of Options::metrics since the last push as a Stats
@@ -108,6 +122,11 @@ class HarmonyClient {
   /// Receives exactly one frame (handles partial and coalesced reads).
   const Frame& recv_frame();
   /// recv_frame + Error-frame mapping + type check.
+  const Frame& read_reply(MsgType type);
+  /// Reads the acks of every pipelined report; an Error frame among them
+  /// is rethrown as harmony::ProtocolError.
+  void drain_acks();
+  /// drain_acks, then read_reply for the request just sent.
   const Frame& expect_reply(MsgType type);
 
   ClientOptions options_;
@@ -125,6 +144,7 @@ class HarmonyClient {
   obs::RegistrySnapshot last_pushed_;  ///< baseline for the next stats delta
   std::vector<std::uint8_t> stats_body_;
   std::size_t reports_since_push_ = 0;
+  std::size_t unacked_reports_ = 0;  ///< report acks not yet read
 };
 
 }  // namespace protuner::net

@@ -210,6 +210,11 @@ void NetServer::handle_listen() {
     }
     c->fd = fd;
     if (c->in.size() < 4096) c->in.resize(4096);
+    // Replies to one read go out in one flush.  A client pipelining its
+    // reports makes that batch a run of acks plus a reply, whose size
+    // depends on how the frames happened to coalesce; reserving up front
+    // keeps the first larger batch from growing the buffer mid-run.
+    c->out.reserve(4096);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.ptr = c.get();
@@ -333,6 +338,14 @@ void NetServer::handle_frame(Connection* c, const Frame& f) {
       handle_stats(c, f);
       return;
     case MsgType::kDetach:
+      // Release the attachment before queuing the ack, so a client whose
+      // detach() returned can remove() the session straight away.
+      if (c->in_parked_list) {
+        std::erase(sessions_[static_cast<std::size_t>(c->entry)].parked, c);
+        c->in_parked_list = false;
+      }
+      c->parked.clear();
+      release_entry(c);
       append_simple(c->out, MsgType::kDetach, f.rank, {}, c->peer_version);
       c->draining = true;  // close once the ack flushes
       return;
@@ -366,37 +379,36 @@ void NetServer::handle_attach(Connection* c, const Frame& f) {
 }
 
 int NetServer::entry_index_for(std::string_view name) {
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i].name == name) {
-      // Another connection of a known session: count the attachment.
-      try {
-        (void)manager_.attach(sessions_[i].name);
-      } catch (const harmony::SessionError&) {
-        return -1;  // removed since — treat as unknown
-      }
-      return static_cast<int>(i);
-    }
-  }
-  SessionEntry e;
-  e.name.assign(name);
+  std::shared_ptr<harmony::Server> server;
   try {
-    e.server = manager_.attach(e.name);
+    server = manager_.attach(std::string(name));  // counts this attachment
   } catch (const harmony::SessionError&) {
     return -1;
   }
-  const obs::Labels labels{{"session", e.name}};
-  e.fetch_wire_ns = &registry_.histogram(
-      "protuner_net_fetch_wire_ns",
-      "Fetch wire latency: frame decoded to reply queued, including the "
-      "wait for the round to open (ns)",
-      labels);
-  e.report_wire_ns = &registry_.histogram(
-      "protuner_net_report_wire_ns",
-      "Report wire latency: frame decoded to ack queued (ns)", labels);
-  e.last_rounds = e.server->rounds_completed();
-  e.last_advance = std::chrono::steady_clock::now();
-  sessions_.push_back(std::move(e));
-  return static_cast<int>(sessions_.size()) - 1;
+  std::size_t i = 0;
+  while (i < sessions_.size() && sessions_[i].name != name) ++i;
+  if (i == sessions_.size()) sessions_.emplace_back().name.assign(name);
+  SessionEntry& e = sessions_[i];
+  if (server != e.server) {
+    // First attach, or the name was removed and re-created: bind the entry
+    // to the live server.  remove() requires zero attachments, so no open
+    // connection still refers to the old one.
+    const obs::Labels labels{{"session", e.name}};
+    e.server = std::move(server);
+    e.fetch_wire_ns = &registry_.histogram(
+        "protuner_net_fetch_wire_ns",
+        "Fetch wire latency: frame decoded to reply queued, including the "
+        "wait for the round to open (ns)",
+        labels);
+    e.report_wire_ns = &registry_.histogram(
+        "protuner_net_report_wire_ns",
+        "Report wire latency: frame decoded to ack queued (ns)", labels);
+    e.last_rounds = e.server->rounds_completed();
+    e.last_advance = std::chrono::steady_clock::now();
+    e.stalled = false;
+    e.parked.clear();
+  }
+  return static_cast<int>(i);
 }
 
 bool NetServer::session_matches(const Connection* c, const Frame& f) const {
@@ -753,20 +765,24 @@ void NetServer::error_close(Connection* c, std::string_view why) {
 void NetServer::close_conn(Connection* c) {
   if (c->closed) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->fd, nullptr);
-  if (c->entry >= 0) {
-    SessionEntry& e = sessions_[static_cast<std::size_t>(c->entry)];
-    if (e.attached_conns > 0) --e.attached_conns;
-    try {
-      manager_.detach(e.name);
-    } catch (const harmony::SessionError&) {
-    }
-  }
+  release_entry(c);
   c->closed = true;
   c->in_parked_list = false;
   c->parked.clear();
   closed_.fetch_add(1, std::memory_order_relaxed);
   obs_closed_.add();
   pending_destroy_.push_back(c);
+}
+
+void NetServer::release_entry(Connection* c) {
+  if (c->entry < 0) return;
+  SessionEntry& e = sessions_[static_cast<std::size_t>(c->entry)];
+  if (e.attached_conns > 0) --e.attached_conns;
+  try {
+    manager_.detach(e.name);
+  } catch (const harmony::SessionError&) {
+  }
+  c->entry = -1;
 }
 
 void NetServer::destroy_pending() {
@@ -780,7 +796,6 @@ void NetServer::destroy_pending() {
     ::close(c->fd);
     auto owned = std::move(conns_[static_cast<std::size_t>(c->fd)]);
     c->fd = -1;
-    c->entry = -1;
     c->stats_series = 0;
     c->closed = false;
     c->draining = false;

@@ -152,8 +152,9 @@ class NetServer {
   struct Connection;
 
   // One hosted session as seen by the loop: the pinned server handle, its
-  // wire-latency instruments (resolved once, at first attach), the parked
-  // list and the round counter watermark that triggers its retry sweep.
+  // wire-latency instruments (resolved when the entry binds a server), the
+  // parked list and the round counter watermark that triggers its retry
+  // sweep.
   struct SessionEntry {
     std::string name;
     std::shared_ptr<harmony::Server> server;
@@ -204,6 +205,9 @@ class NetServer {
   /// Sends an Error frame (best-effort) and closes the connection.
   void error_close(Connection* c, std::string_view why);
   void close_conn(Connection* c);
+  /// Gives up c's session attachment (loop and manager counts); no-op when
+  /// unattached.  Runs at Detach, before the ack, and at close.
+  void release_entry(Connection* c);
   void destroy_pending();
   /// Writes as much of c->out as the socket accepts; arms/disarms EPOLLOUT.
   void flush_out(Connection* c);
@@ -217,6 +221,9 @@ class NetServer {
   void check_stall(SessionEntry& e, std::chrono::steady_clock::time_point now);
   void dump_flight(const char* why);
   void epoll_update(Connection* c, bool want_write);
+  /// Attaches one connection to `name` in the manager and returns its
+  /// entry, bound to the manager's current server for that name (a name
+  /// removed and re-created is rebound); -1 when the name is not hosted.
   int entry_index_for(std::string_view name);
 
   harmony::SessionManager& manager_;

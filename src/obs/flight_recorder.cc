@@ -40,7 +40,7 @@ void FlightRecorder::record(const char* kind, std::string_view session,
   const std::size_t n = session.size() < sizeof(e.tag) - 1
                             ? session.size()
                             : sizeof(e.tag) - 1;
-  std::memcpy(e.tag, session.data(), n);
+  if (n > 0) std::memcpy(e.tag, session.data(), n);  // data() may be null
   e.tag[n] = '\0';
 }
 

@@ -2,7 +2,9 @@
 // loopback sockets: session completion through net::HarmonyClient,
 // rank multiplexing, malformed-frame containment (Error frame + close,
 // server survives), dead-client-mid-round straggler handling under the
-// PR-3 deadline machinery, and wire-telemetry visibility through obs::.
+// report-deadline machinery, wire-telemetry visibility through obs::, the
+// pipelined-report contract (late errors, no delivered report lost to a
+// crash) and session detach/remove/re-create churn.
 //
 // Each test runs the NetServer loop on a dedicated thread and drives it
 // from the test thread through real connections — the same topology as a
@@ -10,10 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -39,6 +45,10 @@ struct LoopFixture {
   obs::Registry registry;
   harmony::SessionManager manager;
   std::unique_ptr<net::NetServer> server;
+  // While `hold` is set the loop parks between iterations (`held` confirms
+  // it), so a test can stage socket state the server must not read yet.
+  std::atomic<bool> hold{false};
+  std::atomic<bool> held{false};
   std::thread loop;
 
   explicit LoopFixture(net::NetServerOptions options = {}) {
@@ -47,10 +57,20 @@ struct LoopFixture {
     // responsive at test scale.
     options.poll_interval = std::chrono::milliseconds(1);
     server = std::make_unique<net::NetServer>(manager, options);
-    loop = std::thread([this] { server->run(); });
+    loop = std::thread([this] {
+      server->run_until([this] {
+        while (hold.load()) {
+          held.store(true);
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        held.store(false);
+        return false;
+      });
+    });
   }
 
   ~LoopFixture() {
+    hold.store(false);
     server->stop();
     loop.join();
   }
@@ -281,7 +301,7 @@ TEST(NetLoop, WireTelemetryIsVisibleThroughObs) {
 TEST(NetLoop, Version1ClientInteroperatesWithTheV2Server) {
   // A PR-9 peer: wire version 1, no trace trailers, no Stats push.  The v2
   // server must speak v1 back to it for a complete attach → fetch → report
-  // → detach lifecycle.
+  // → detach lifecycle, with reports pipelined as in v2.
   LoopFixture fx;
   auto hosted = fx.host("legacy", 2);
   obs::Registry client_registry;
@@ -311,6 +331,12 @@ TEST(NetLoop, Version1ClientInteroperatesWithTheV2Server) {
       EXPECT_FALSE(k == "client" && v == "0") << inst.name;
     }
   }
+
+  // A rejected pipelined report surfaces at the v1 client's next call too.
+  net::HarmonyClient misuser(co);
+  misuser.attach("legacy", 0);
+  misuser.report(0, 1.0);  // no outstanding fetch
+  EXPECT_THROW(misuser.fetch_into(0, cfg), harmony::ProtocolError);
 }
 
 const obs::InstrumentSnapshot* find_with_client_label(
@@ -588,6 +614,249 @@ TEST(NetLoop, SessionManagerSnapshotSeesNetAndSessionTelemetryTogether) {
   }
   EXPECT_TRUE(harmony_fetch);
   EXPECT_TRUE(wire_fetch);
+}
+
+// Polls `done` until it holds or two seconds pass.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+// Completes `rounds` rounds of a fresh connection to `session` (P = 1).
+void drive_rounds(const LoopFixture& fx, const std::string& session,
+                  std::size_t rounds) {
+  net::HarmonyClient client(fx.client_options());
+  client.attach(session, 0);
+  Point cfg;
+  for (std::size_t k = 0; k < rounds; ++k) {
+    client.fetch_into(0, cfg);
+    client.report(0, 1.0);
+  }
+  client.detach(0);
+}
+
+TEST(NetLoop, PipelinedReportMisuseSurfacesAtTheNextFetch) {
+  // report() returns once its frame is written, so a report the server
+  // rejects (here: a second report without a fetch) throws from the next
+  // call that reads a reply.
+  LoopFixture fx;
+  auto hosted = fx.host("late", 1);
+  net::HarmonyClient client(fx.client_options());
+  client.attach("late", 0);
+  Point cfg;
+  client.fetch_into(0, cfg);
+  client.report(0, 1.0);
+  client.report(0, 1.0);  // misuse: rank 0 has not fetched again
+  EXPECT_THROW(client.fetch_into(0, cfg), harmony::ProtocolError);
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(hosted->rounds_completed(), 1u);  // the good report counted
+
+  drive_rounds(fx, "late", 3);  // the server survives
+  EXPECT_EQ(hosted->rounds_completed(), 4u);
+}
+
+TEST(NetLoop, PipelinedReportMisuseSurfacesAtDetach) {
+  LoopFixture fx;
+  auto hosted = fx.host("late-bye", 1);
+  obs::Registry client_registry;  // detach's stats push must not mask it
+  net::ClientOptions co = fx.client_options();
+  co.metrics = &client_registry;
+  net::HarmonyClient client(co);
+  client.attach("late-bye", 0);
+  Point cfg;
+  client.fetch_into(0, cfg);
+  client.report(0, 1.0);
+  client.report(0, 1.0);  // misuse
+  EXPECT_THROW(client.detach(0), harmony::ProtocolError);
+  EXPECT_FALSE(client.connected());
+
+  drive_rounds(fx, "late-bye", 3);
+  EXPECT_EQ(hosted->rounds_completed(), 4u);
+}
+
+TEST(NetLoop, PipelinedReportErrorOutlivesTheConnectionReset) {
+  // Frames sent after the server closed on an Error make its kernel answer
+  // with a reset, and the next send fails with a broken pipe.  The Error
+  // frame is already in the client's receive buffer; it, not the broken
+  // pipe, must be what the caller sees.
+  LoopFixture fx;
+  fx.host("reset", 2);
+  net::HarmonyClient client(fx.client_options());
+  client.attach("reset", 0);
+  Point cfg;
+  client.fetch_into(0, cfg);
+  client.fetch_into(1, cfg);
+  client.report(0, 1.0);
+  client.report(0, 1.0);  // misuse: the server sends Error and closes
+  ASSERT_TRUE(eventually([&] { return fx.server->connections_closed() == 1; }));
+  client.report(1, 1.0);  // lands on a closed socket: the peer resets
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_THROW(client.fetch_into(0, cfg), harmony::ProtocolError);
+  EXPECT_FALSE(client.connected());
+}
+
+// A bare TCP connection speaking frames by hand, for tests that need the
+// kernel's view of the socket, which net::HarmonyClient hides.
+class RawConn {
+ public:
+  explicit RawConn(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+  }
+  ~RawConn() { close(); }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  bool connected() const { return connected_; }
+
+  bool send(const std::vector<std::uint8_t>& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// Type of the next frame; kError also stands for a closed connection.
+  net::MsgType next_frame() {
+    for (;;) {
+      const net::Decoded d = net::decode_frame({in_.data(), used_});
+      if (d.status == net::DecodeStatus::kFrame) {
+        const net::MsgType type = d.frame.type;
+        std::memmove(in_.data(), in_.data() + d.consumed, used_ - d.consumed);
+        used_ -= d.consumed;
+        return type;
+      }
+      if (d.status == net::DecodeStatus::kBadFrame) return net::MsgType::kError;
+      const ssize_t n = ::recv(fd_, in_.data() + used_, in_.size() - used_, 0);
+      if (n <= 0) return net::MsgType::kError;
+      used_ += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Bytes sent but not yet acknowledged by the peer's kernel.
+  int unacked_bytes() const { return queued(SIOCOUTQ); }
+  /// Bytes received by the kernel but not yet read.
+  int unread_bytes() const { return queued(SIOCINQ); }
+
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int queued(unsigned long request) const {
+    int n = -1;
+    return ::ioctl(fd_, request, &n) == 0 ? n : -1;
+  }
+
+  int fd_;
+  bool connected_ = false;
+  std::array<std::uint8_t, 4096> in_{};
+  std::size_t used_ = 0;
+};
+
+TEST(NetLoop, ReportsDeliveredBeforeACrashAreAllApplied) {
+  // A client that reports and dies without detaching, its acks unread,
+  // makes its kernel reset the connection.  Reports its kernel already
+  // delivered must still be applied: the server reads what is queued on
+  // its side of the socket before it sees the reset.  (Bytes a crash
+  // leaves unsent are lost with the reset; the deadline machinery owns
+  // that case, as for a client that died before reporting.)
+  LoopFixture fx;
+  constexpr std::uint32_t kRanks = 4;
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::string name = "crash-" + std::to_string(trial);
+    auto hosted = fx.host(name, kRanks);
+    RawConn raw(fx.server->port());
+    ASSERT_TRUE(raw.connected());
+    std::vector<std::uint8_t> frame;
+    net::append_simple(frame, net::MsgType::kAttach, 0, name);
+    ASSERT_TRUE(raw.send(frame));
+    ASSERT_EQ(raw.next_frame(), net::MsgType::kAttach);
+    for (int k = 0; k < 2; ++k) {
+      for (std::uint32_t r = 0; r < kRanks; ++r) {
+        frame.clear();
+        net::append_simple(frame, net::MsgType::kFetch, r, {});
+        ASSERT_TRUE(raw.send(frame));
+        net::MsgType reply = raw.next_frame();
+        while (reply == net::MsgType::kReport) reply = raw.next_frame();
+        ASSERT_EQ(reply, net::MsgType::kFetch);
+      }
+      for (std::uint32_t r = 0; r < kRanks; ++r) {
+        if (k == 1 && r + 1 == kRanks) {
+          // Leave acks unread, so the close below resets the connection,
+          // and hold the loop, so the last report is still unread on the
+          // server's side when the reset arrives.
+          ASSERT_TRUE(eventually([&] { return raw.unread_bytes() > 0; }));
+          fx.hold.store(true);
+          ASSERT_TRUE(eventually([&] { return fx.held.load(); }));
+        }
+        frame.clear();
+        net::append_report(frame, r, {}, 1.0 + r);
+        ASSERT_TRUE(raw.send(frame));
+      }
+    }
+    // Every byte is in the server's kernel before the crash.
+    ASSERT_TRUE(eventually([&] { return raw.unacked_bytes() == 0; }));
+    raw.close();
+    fx.hold.store(false);
+    EXPECT_TRUE(eventually([&] { return hosted->rounds_completed() == 2; }))
+        << name << " lost a report: rounds=" << hosted->rounds_completed();
+  }
+}
+
+TEST(NetLoop, RemoveRightAfterDetachNeverSeesTheAttachment) {
+  // The loop releases a connection's attachment before it queues the
+  // Detach ack, so once detach() returns the session is free to remove.
+  LoopFixture fx;
+  for (int i = 0; i < 100; ++i) {
+    const std::string name = "churn-" + std::to_string(i);
+    fx.host(name, 1);
+    drive_rounds(fx, name, 1);
+    try {
+      EXPECT_TRUE(fx.manager.remove(name));
+    } catch (const harmony::SessionError& ex) {
+      ADD_FAILURE() << ex.what();
+    }
+  }
+}
+
+TEST(NetLoop, RecreatedSessionNameResolvesToTheNewServer) {
+  LoopFixture fx;
+  auto first = fx.host("phoenix", 1);
+  drive_rounds(fx, "phoenix", 3);
+  ASSERT_TRUE(fx.manager.remove("phoenix"));
+  {
+    net::HarmonyClient client(fx.client_options());
+    EXPECT_THROW(client.attach("phoenix", 0), harmony::ProtocolError);
+  }
+
+  harmony::ServerOptions so;
+  so.metrics = &fx.registry;
+  so.session = "phoenix";
+  auto second = fx.manager.create(
+      "phoenix", std::make_unique<core::FixedStrategy>(Point{3.0, 4.0}), 1,
+      so);
+  net::HarmonyClient client(fx.client_options());
+  client.attach("phoenix", 0);
+  Point cfg;
+  for (int k = 0; k < 2; ++k) {
+    client.fetch_into(0, cfg);
+    EXPECT_EQ(cfg, (Point{3.0, 4.0}));
+    client.report(0, 1.0);
+  }
+  client.detach(0);
+  EXPECT_EQ(second->rounds_completed(), 2u);
+  EXPECT_EQ(first->rounds_completed(), 3u);
+  EXPECT_TRUE(fx.manager.remove("phoenix"));
 }
 
 }  // namespace
