@@ -8,6 +8,11 @@
 //                                the next fetch_into reads that ack ahead
 //                                of its own reply (encode → send → epoll
 //                                → decode → serve → reply → decode).
+//                                The client polls for that reply before
+//                                it blocks, so it is not woken; the loop
+//                                thread still is, out of epoll_wait, and
+//                                on a 4-vCPU VM that wake-up is most of
+//                                the ~13 µs reply wait in a ~25 µs pair.
 //   BM_NetManyConnections/C      a C-connection soak (64 / 256 / 1024)
 //                                through apps::run_loadgen's loopback
 //                                mode: one rank per connection, sessions

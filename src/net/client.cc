@@ -3,9 +3,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -136,8 +138,12 @@ const Frame& HarmonyClient::recv_frame() {
       }
       in_.resize(std::min(cap, in_.size() * 2));
     }
-    const ssize_t n =
-        ::recv(fd_, in_.data() + in_used_, in_.size() - in_used_, 0);
+    std::uint8_t* const buf = in_.data() + in_used_;
+    const std::size_t room = in_.size() - in_used_;
+    ssize_t n = poll_recv(buf, room);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      n = ::recv(fd_, buf, room, 0);
+    }
     if (n == 0) {
       close();
       throw NetError("server closed the connection");
@@ -154,6 +160,31 @@ const Frame& HarmonyClient::recv_frame() {
       throw_errno("recv");
     }
     in_used_ += static_cast<std::size_t>(n);
+  }
+}
+
+ssize_t HarmonyClient::poll_recv(std::uint8_t* buf, std::size_t room) {
+  // Waking a thread parked in recv costs several µs on a VM, many times
+  // the server's work per loopback reply, so the wait first polls.  sched_yield between
+  // tries hands the CPU to any runnable thread, which on an oversubscribed
+  // host may be the one the reply waits on; the budget follows observed
+  // reply latency, so replies that never come early stop costing CPU.
+  const std::uint64_t start = obs::LatencyClock::now();
+  for (;;) {
+    const ssize_t n = ::recv(fd_, buf, room, MSG_DONTWAIT);
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return n;
+    const double waited =
+        obs::LatencyClock::to_ns(obs::LatencyClock::now() - start);
+    if (n > 0) {
+      spin_ns_ = std::min(kSpinCapNs, std::max(spin_ns_, 2 * waited));
+    }
+    if (n >= 0) return n;
+    if (waited >= spin_ns_) {
+      spin_ns_ = std::max(kSpinFloorNs, spin_ns_ / 2);
+      errno = EAGAIN;  // the caller blocks
+      return -1;
+    }
+    ::sched_yield();
   }
 }
 

@@ -24,9 +24,19 @@
 // harmony::ProtocolError — a failed report surfaces late, never silently.
 // The class is not thread-safe — one owner thread per client.
 //
+// Waiting for a reply polls briefly before it blocks: non-blocking
+// receives with sched_yield() between them, for a budget that adapts to
+// how soon replies have been arriving (at most 50 µs), then the blocking
+// receive bounded by Options::io_timeout.  On loopback this skips the
+// thread wake-up that otherwise dominates a round trip; yielding and the
+// shrinking budget keep it from starving the server on an oversubscribed
+// host (DESIGN.md §14, "Wait policy").
+//
 // Steady-state fetch/report is allocation-free: the encode and decode
 // buffers are reused across calls and replies are parsed in place.
 #pragma once
+
+#include <sys/types.h>
 
 #include <chrono>
 #include <cstddef>
@@ -47,7 +57,8 @@ struct ClientOptions {
   /// be binding when a forked client starts).
   std::chrono::milliseconds connect_timeout{5000};
   /// Bound on each blocking send/receive.  fetch_into() waits up to this
-  /// long for the server to open the round.
+  /// long for the server to open the round.  A reply wait first polls for
+  /// at most 50 µs, then blocks for up to this long.
   std::chrono::milliseconds io_timeout{60000};
   std::size_t max_frame = kMaxFrameBytes;
   /// When set, the client records its call latencies as
@@ -121,6 +132,9 @@ class HarmonyClient {
   void send_buffer();
   /// Receives exactly one frame (handles partial and coalesced reads).
   const Frame& recv_frame();
+  /// Non-blocking recv tries, yielding between them, for at most spin_ns_.
+  /// Returns recv's result; -1 with errno EAGAIN once the budget is spent.
+  ssize_t poll_recv(std::uint8_t* buf, std::size_t room);
   /// recv_frame + Error-frame mapping + type check.
   const Frame& read_reply(MsgType type);
   /// Reads the acks of every pipelined report; an Error frame among them
@@ -145,6 +159,14 @@ class HarmonyClient {
   std::vector<std::uint8_t> stats_body_;
   std::size_t reports_since_push_ = 0;
   std::size_t unacked_reports_ = 0;  ///< report acks not yet read
+  /// Bounds of the reply poll's budget.  The cap is well above a loopback
+  /// round trip and well below a slice worth a thread's CPU; the floor keeps
+  /// one cheap non-blocking try ahead of every blocking recv.
+  static constexpr double kSpinCapNs = 50'000;
+  static constexpr double kSpinFloorNs = 1'000;
+  /// Reply poll budget (ns): a reply polled t ns in raises it to 2t (up to
+  /// the cap); a poll that runs out halves it (down to the floor).
+  double spin_ns_ = kSpinCapNs;
 };
 
 }  // namespace protuner::net

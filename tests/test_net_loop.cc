@@ -4,7 +4,8 @@
 // server survives), dead-client-mid-round straggler handling under the
 // report-deadline machinery, wire-telemetry visibility through obs::, the
 // pipelined-report contract (late errors, no delivered report lost to a
-// crash) and session detach/remove/re-create churn.
+// crash), session detach/remove/re-create churn, and the exits of the
+// client's reply wait (io_timeout, a server closing mid-wait).
 //
 // Each test runs the NetServer loop on a dedicated thread and drives it
 // from the test thread through real connections — the same topology as a
@@ -857,6 +858,79 @@ TEST(NetLoop, RecreatedSessionNameResolvesToTheNewServer) {
   EXPECT_EQ(second->rounds_completed(), 2u);
   EXPECT_EQ(first->rounds_completed(), 3u);
   EXPECT_TRUE(fx.manager.remove("phoenix"));
+}
+
+TEST(NetLoop, FetchWhoseRoundNeverOpensTimesOutAndTheLoopSurvives) {
+  // The reply wait polls before it blocks; a round that never opens must
+  // still end in the io_timeout NetError once the blocking receive expires.
+  LoopFixture fx;
+  fx.host("stuck", 2);
+  net::ClientOptions co = fx.client_options();
+  co.io_timeout = std::chrono::milliseconds(100);
+  net::HarmonyClient client(co);
+  client.attach("stuck", 0);
+  Point cfg;
+  client.fetch_into(0, cfg);
+  client.report(0, 1.0);  // rank 1 never reports: the next round never opens
+  const auto started = std::chrono::steady_clock::now();
+  try {
+    client.fetch_into(0, cfg);
+    ADD_FAILURE() << "fetch returned from a round that never opened";
+  } catch (const net::NetError& ex) {
+    EXPECT_EQ(std::string(ex.what()), "receive timed out");
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - started,
+            std::chrono::milliseconds(100));
+  EXPECT_FALSE(client.connected());
+
+  auto alive = fx.host("alive", 1);
+  drive_rounds(fx, "alive", 3);
+  EXPECT_EQ(alive->rounds_completed(), 3u);
+}
+
+TEST(NetLoop, ServerClosingDuringTheReplyWaitIsANetError) {
+  // A stand-in server reads the Fetch and closes, either at once (the
+  // client is still polling) or after 20 ms (it has fallen through to the
+  // blocking receive).  Both must end in NetError at the close, not in a
+  // hang until io_timeout.
+  for (const auto delay :
+       {std::chrono::milliseconds(0), std::chrono::milliseconds(20)}) {
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    ASSERT_EQ(
+        ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+    net::ClientOptions co;
+    co.port = ntohs(addr.sin_port);
+    co.io_timeout = std::chrono::seconds(10);
+    net::HarmonyClient client(co);  // queued in the backlog until accepted
+    std::thread server([listener, delay] {
+      const int fd = ::accept(listener, nullptr, nullptr);
+      std::array<std::uint8_t, 64> fetch{};
+      (void)::recv(fd, fetch.data(), fetch.size(), 0);
+      std::this_thread::sleep_for(delay);
+      ::close(fd);
+    });
+    Point cfg;
+    try {
+      client.fetch_into(0, cfg);
+      ADD_FAILURE() << "fetch returned from a closed connection";
+    } catch (const net::NetError& ex) {
+      EXPECT_EQ(std::string(ex.what()), "server closed the connection")
+          << "delay " << delay.count() << " ms";
+    } catch (const std::exception& ex) {
+      ADD_FAILURE() << ex.what();
+    }
+    EXPECT_FALSE(client.connected());
+    server.join();
+    ::close(listener);
+  }
 }
 
 }  // namespace
