@@ -2,17 +2,21 @@
 // wire protocol measured at two shapes —
 //
 //   BM_NetFetchReportRoundTrip   one connection, width-1 session: the
-//                                localhost floor of a fetch + report pair.
-//                                One wire round trip per pair: report()
-//                                only sends (its ack is pipelined), and
-//                                the next fetch_into reads that ack ahead
-//                                of its own reply (encode → send → epoll
-//                                → decode → serve → reply → decode).
-//                                The client polls for that reply before
-//                                it blocks, so it is not woken; the loop
-//                                thread still is, out of epoll_wait, and
-//                                on a 4-vCPU VM that wake-up is most of
-//                                the ~13 µs reply wait in a ~25 µs pair.
+//                                localhost floor of a fetch + report pair,
+//                                over the local Unix name a 127.0.0.1
+//                                server publishes.  One wire round trip
+//                                per pair: report() only sends (its ack
+//                                is pipelined), and the next fetch_into
+//                                reads that ack ahead of its own reply
+//                                (encode → send → epoll → decode → serve
+//                                → reply → decode).  The client polls for
+//                                that reply before it blocks, so it is
+//                                not woken; the loop thread still is, out
+//                                of epoll_wait.
+//   BM_NetFetchReportRoundTripTcp  the same pair over loopback TCP (server
+//                                and client on 127.0.0.2, where no local
+//                                name is published): the floor remote
+//                                clients and scrapes still pay.
 //   BM_NetManyConnections/C      a C-connection soak (64 / 256 / 1024)
 //                                through apps::run_loadgen's loopback
 //                                mode: one rank per connection, sessions
@@ -49,7 +53,7 @@ namespace {
 
 using namespace protuner;
 
-void BM_NetFetchReportRoundTrip(benchmark::State& state) {
+void fetch_report_round_trip(benchmark::State& state, const char* address) {
   obs::Registry registry;
   harmony::SessionManager manager;
   harmony::ServerOptions so;
@@ -60,12 +64,14 @@ void BM_NetFetchReportRoundTrip(benchmark::State& state) {
                  std::make_unique<core::FixedStrategy>(core::Point{1.0, 2.0}),
                  1, so);
   net::NetServerOptions no;
+  no.bind_address = address;
   no.metrics = &registry;
   no.poll_interval = std::chrono::milliseconds(1);
   net::NetServer net(manager, no);
   std::thread loop([&net] { net.run(); });
   {
     net::ClientOptions co;
+    co.host = address;
     co.port = net.port();
     net::HarmonyClient client(co);
     client.attach("bench-rtt", 0);
@@ -85,7 +91,16 @@ void BM_NetFetchReportRoundTrip(benchmark::State& state) {
   state.counters["fetch_wire_p50_ns"] = wire.p50();
   state.counters["fetch_wire_p99_ns"] = wire.p99();
 }
+
+void BM_NetFetchReportRoundTrip(benchmark::State& state) {
+  fetch_report_round_trip(state, "127.0.0.1");
+}
 BENCHMARK(BM_NetFetchReportRoundTrip);
+
+void BM_NetFetchReportRoundTripTcp(benchmark::State& state) {
+  fetch_report_round_trip(state, "127.0.0.2");
+}
+BENCHMARK(BM_NetFetchReportRoundTripTcp);
 
 void BM_NetManyConnections(benchmark::State& state) {
   const std::size_t connections = static_cast<std::size_t>(state.range(0));

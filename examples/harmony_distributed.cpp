@@ -15,6 +15,13 @@
 //                                             #   core::run_session for the
 //                                             #   same seed
 //   harmony_distributed --serve [--port P]    # server only (prints port)
+//   harmony_distributed --bind ADDR           # demo/serve: bind ADDR, and
+//                                             #   the demo's clients dial
+//                                             #   it (default 127.0.0.1,
+//                                             #   which clients reach over
+//                                             #   the local Unix name;
+//                                             #   127.0.0.2 keeps them on
+//                                             #   TCP)
 //   harmony_distributed --client HOST PORT --rank R
 //                                             # one client rank
 //   harmony_distributed --trace-out PREFIX    # any mode: enable tracing;
@@ -70,6 +77,7 @@ struct Args {
   bool selfcheck = false;
   bool client = false;
   std::string host = "127.0.0.1";
+  std::string bind = "127.0.0.1";
   std::uint16_t port = 0;
   std::uint32_t rank = 0;
   std::size_t clients = 64;
@@ -99,6 +107,8 @@ Args parse_args(int argc, char** argv) {
       a.port = static_cast<std::uint16_t>(std::atoi(next()));
     } else if (arg == "--rank") {
       a.rank = static_cast<std::uint32_t>(std::atoi(next()));
+    } else if (arg == "--bind") {
+      a.bind = next();
     } else if (arg == "--port") {
       a.port = static_cast<std::uint16_t>(std::atoi(next()));
     } else if (arg == "--clients") {
@@ -252,8 +262,10 @@ void print_summary(const harmony::Server& server, const net::NetServer& net,
               "(clean %.3f s/iter; default %.3f)\n",
               best[gs2::kNtheta], best[gs2::kNegrid], best[gs2::kNodes],
               surface.clean_time(best), surface.clean_time(space.center()));
-  std::printf("net: %llu connections, %llu closed, %llu decode errors\n",
+  std::printf("net: %llu connections (%llu local), %llu closed, "
+              "%llu decode errors\n",
               static_cast<unsigned long long>(net.connections_accepted()),
+              static_cast<unsigned long long>(net.local_connections()),
               static_cast<unsigned long long>(net.connections_closed()),
               static_cast<unsigned long long>(net.decode_errors()));
 }
@@ -267,9 +279,9 @@ int run_serve(const Args& a) {
   auto server = manager.create(
       kSession, core::make_strategy("pro:k=2", space, a.seed), a.clients,
       so);
-  net::NetServer net(manager, {.port = a.port});
-  std::printf("serving session %s for %zu clients on 127.0.0.1:%u\n",
-              kSession, a.clients, net.port());
+  net::NetServer net(manager, {.bind_address = a.bind, .port = a.port});
+  std::printf("serving session %s for %zu clients on %s:%u\n", kSession,
+              a.clients, a.bind.c_str(), net.port());
   std::fflush(stdout);
   serve_session(manager, net, server, a.steps);
   print_summary(*server, net, space);
@@ -303,7 +315,7 @@ std::vector<pid_t> spawn_clients(const Args& a, std::uint16_t port) {
       std::snprintf(seed_s, sizeof(seed_s), "%llu",
                     static_cast<unsigned long long>(a.seed));
       std::vector<char*> argv{self,      const_cast<char*>("--client"),
-                              const_cast<char*>("127.0.0.1"),
+                              const_cast<char*>(a.bind.c_str()),
                               port_s,    const_cast<char*>("--rank"),
                               rank_s,    const_cast<char*>("--clients"),
                               clients_s, const_cast<char*>("--steps"),
@@ -365,7 +377,7 @@ int run_demo(const Args& a) {
   auto server = manager.create(
       kSession, core::make_strategy("pro:k=2", space, a.seed), a.clients,
       so);
-  net::NetServer net(manager, {});
+  net::NetServer net(manager, {.bind_address = a.bind});
 
   const std::vector<pid_t> pids = spawn_clients(a, net.port());
   serve_session(manager, net, server, a.steps);

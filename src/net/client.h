@@ -13,6 +13,12 @@
 // see the identical exception type in-process clients do.  Transport
 // failures (refused, reset, timeout, malformed reply) are NetError.
 //
+// Transport: aimed at host 127.0.0.1, the client first connects to the
+// local Unix name a NetServer owning 127.0.0.1:<port> publishes
+// (net::local_address), and falls back to TCP in the same attempt when
+// nothing listens there; any other host is plain TCP.  Frames, timeouts
+// and error mapping are identical either way.
+//
 // One connection may drive many ranks (each frame carries the rank), which
 // is how the load generator multiplexes a worker's rank slice over a single
 // socket.  attach/fetch_into/push_stats/detach are synchronous
@@ -51,6 +57,7 @@
 namespace protuner::net {
 
 struct ClientOptions {
+  /// Server address.  Exactly "127.0.0.1" prefers the local Unix name.
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   /// Window during which connect() retries (the server process may still
@@ -129,6 +136,8 @@ class HarmonyClient {
 
  private:
   void connect_with_retry();
+  /// Applies the IO timeouts to a connected socket and makes it fd_.
+  void adopt(int fd);
   void send_buffer();
   /// Receives exactly one frame (handles partial and coalesced reads).
   const Frame& recv_frame();

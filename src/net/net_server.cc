@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -58,6 +60,16 @@ void append_json_escaped(std::string& out, std::string_view s) {
 
 }  // namespace
 
+socklen_t local_address(std::uint16_t port, sockaddr_un& addr) {
+  addr = {};
+  addr.sun_family = AF_UNIX;
+  // sun_path[0] stays '\0': the abstract namespace, no file to clean up.
+  const int n = std::snprintf(addr.sun_path + 1, sizeof(addr.sun_path) - 1,
+                              "protuner-net-%u", static_cast<unsigned>(port));
+  return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                static_cast<std::size_t>(n));
+}
+
 NetServer::NetServer(harmony::SessionManager& manager,
                      NetServerOptions options)
     : manager_(manager),
@@ -71,6 +83,9 @@ NetServer::NetServer(harmony::SessionManager& manager,
       obs_accepted_(registry_.counter(
           "protuner_net_connections_accepted_total",
           "Connections accepted by the net tier")),
+      obs_local_(registry_.counter(
+          "protuner_net_local_connections_total",
+          "Connections accepted over the local Unix name instead of TCP")),
       obs_closed_(registry_.counter("protuner_net_connections_closed_total",
                                     "Connections closed by the net tier")),
       obs_decode_errors_(registry_.counter(
@@ -79,6 +94,19 @@ NetServer::NetServer(harmony::SessionManager& manager,
       obs_stall_dumps_(registry_.counter(
           "protuner_stall_dumps_total",
           "Flight-recorder dumps (stall watchdog episodes and SIGUSR1)")) {
+  try {
+    open_listeners();
+  } catch (...) {
+    close_fds();  // the destructor does not run for a throwing constructor
+    throw;
+  }
+  events_.resize(256);
+  last_tick_ = std::chrono::steady_clock::now();
+  // Pre-pay the TSC calibration so the first wire-latency stamp is honest.
+  obs::LatencyClock::ns_per_tick();
+}
+
+void NetServer::open_listeners() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw_errno("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -117,19 +145,38 @@ NetServer::NetServer(harmony::SessionManager& manager,
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
     throw_errno("epoll_ctl(wake)");
   }
-  events_.resize(256);
-  last_tick_ = std::chrono::steady_clock::now();
-  // Pre-pay the TSC calibration so the first wire-latency stamp is honest.
-  obs::LatencyClock::ns_per_tick();
+
+  // Publish the local name only when this server owns 127.0.0.1:<port>,
+  // the address a client maps to it; any other bind leaves that address
+  // to someone else, whose local clients must not land here.
+  const in_addr_t bound = ntohl(addr.sin_addr.s_addr);
+  if (bound != INADDR_LOOPBACK && bound != INADDR_ANY) return;
+  local_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (local_fd_ < 0) throw_errno("socket(local)");
+  sockaddr_un local{};
+  const socklen_t local_len = local_address(port_, local);
+  if (::bind(local_fd_, reinterpret_cast<sockaddr*>(&local), local_len) < 0) {
+    throw_errno("bind(local)");
+  }
+  if (::listen(local_fd_, options_.backlog) < 0) throw_errno("listen(local)");
+  ev.data.ptr = &local_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, local_fd_, &ev) < 0) {
+    throw_errno("epoll_ctl(local)");
+  }
+}
+
+void NetServer::close_fds() {
+  for (int* fd : {&listen_fd_, &local_fd_, &wake_fd_, &epoll_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 NetServer::~NetServer() {
   for (auto& c : conns_) {
     if (c && c->fd >= 0) ::close(c->fd);
   }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  close_fds();
 }
 
 void NetServer::run() { run_until({}); }
@@ -163,8 +210,8 @@ void NetServer::loop_iteration() {
   }
   for (int i = 0; i < n; ++i) {
     void* p = events_[i].data.ptr;
-    if (p == &listen_fd_) {
-      handle_listen();
+    if (p == &listen_fd_ || p == &local_fd_) {
+      handle_listen(*static_cast<int*>(p));
       continue;
     }
     if (p == &wake_fd_) {
@@ -188,16 +235,19 @@ void NetServer::loop_iteration() {
   destroy_pending();
 }
 
-void NetServer::handle_listen() {
+void NetServer::handle_listen(int listen_fd) {
+  const bool local = listen_fd == local_fd_;
   for (;;) {
     const int fd =
-        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // EAGAIN, or a transient accept error: epoll will re-fire
     }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (!local) {
+      int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
     if (static_cast<std::size_t>(fd) >= conns_.size()) {
       conns_.resize(static_cast<std::size_t>(fd) + 1);
     }
@@ -227,6 +277,10 @@ void NetServer::handle_listen() {
     conns_[static_cast<std::size_t>(fd)] = std::move(c);
     accepted_.fetch_add(1, std::memory_order_relaxed);
     obs_accepted_.add();
+    if (local) {
+      local_accepted_.fetch_add(1, std::memory_order_relaxed);
+      obs_local_.add();
+    }
   }
 }
 
@@ -707,7 +761,7 @@ void NetServer::dump_flight(const char* why) {
 
 void NetServer::flush_out(Connection* c) {
   if (c->closed) return;
-  while (c->out_off < c->out.size()) {
+  while (!c->peer_gone && c->out_off < c->out.size()) {
     const ssize_t n = ::send(c->fd, c->out.data() + c->out_off,
                              c->out.size() - c->out_off, MSG_NOSIGNAL);
     if (n > 0) {
@@ -722,6 +776,13 @@ void NetServer::flush_out(Connection* c) {
         epoll_update(c, true);
       }
       return;
+    }
+    if (n < 0 && (errno == EPIPE || errno == ECONNRESET) && !c->draining) {
+      // The peer has closed, but frames it sent before closing may still
+      // be queued on this side.  Drop the replies and keep reading until
+      // EOF, so that a report sent ahead of a client's close is applied.
+      c->peer_gone = true;
+      break;
     }
     close_conn(c);
     return;
@@ -744,7 +805,7 @@ void NetServer::epoll_update(Connection* c, bool want_write) {
 
 void NetServer::error_close(Connection* c, std::string_view why) {
   if (c->closed) return;
-  append_error(c->out, 0, why);
+  append_error(c->out, 0, why, c->peer_version);
   // Best-effort flush: the peer deserves the diagnostic, but a blocked
   // socket must not stall the loop — the close proceeds regardless.
   while (c->out_off < c->out.size()) {
@@ -799,6 +860,7 @@ void NetServer::destroy_pending() {
     c->stats_series = 0;
     c->closed = false;
     c->draining = false;
+    c->peer_gone = false;
     c->want_write = false;
     c->mode = kModeUnknown;
     c->peer_version = kWireVersion;

@@ -21,6 +21,14 @@
 // connection that dies mid-round is simply a straggler for the PR-3
 // deadline/imputation machinery — never a server error.
 //
+// Transport: TCP on options.bind_address, plus — when that address is
+// 127.0.0.1 or 0.0.0.0, so this server owns 127.0.0.1:<port> — an
+// abstract-namespace AF_UNIX listener named by local_address(port).  Both
+// feed the same epoll set, accept path and Connection; only the address
+// family differs.  net::HarmonyClient aimed at 127.0.0.1 tries the Unix
+// name first, whose send costs a fraction of loopback TCP's; HTTP scrapes
+// and remote clients keep TCP.
+//
 // Error containment: a malformed frame or a harmony::ProtocolError maps to
 // one Error frame (best-effort flush) plus connection close.  The loop
 // never throws out of run(), never corrupts a session, and never dies on
@@ -34,6 +42,8 @@
 #pragma once
 
 #include <sys/epoll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 
 #include <atomic>
 #include <chrono>
@@ -60,8 +70,15 @@ class NetError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Fills `addr` with the abstract AF_UNIX name "\0protuner-net-<port>" a
+/// NetServer owning 127.0.0.1:<port> also listens on, and returns the
+/// address length to pass to bind/connect.  The name, like 127.0.0.1, is
+/// scoped to the network namespace and reachable by any local process.
+socklen_t local_address(std::uint16_t port, sockaddr_un& addr);
+
 struct NetServerOptions {
-  /// Address to bind; the default serves loopback only.
+  /// Address to bind; the default serves loopback only.  127.0.0.1 and
+  /// 0.0.0.0 also publish the local Unix name (see local_address).
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
@@ -103,6 +120,9 @@ class NetServer {
   /// Binds and listens immediately (port() is valid after construction);
   /// the loop itself starts in run().  Sessions are resolved by name in
   /// `manager` at Attach time — create them before clients connect.
+  /// Throws NetError when the TCP port or the local Unix name is taken:
+  /// whoever held the name would otherwise receive this server's local
+  /// clients.
   NetServer(harmony::SessionManager& manager, NetServerOptions options = {});
   ~NetServer();
   NetServer(const NetServer&) = delete;
@@ -122,6 +142,11 @@ class NetServer {
   /// for tests and drivers; safe from any thread).
   std::uint64_t connections_accepted() const {
     return accepted_.load(std::memory_order_relaxed);
+  }
+  /// The subset of connections_accepted() that came in over the local
+  /// Unix name rather than TCP.
+  std::uint64_t local_connections() const {
+    return local_accepted_.load(std::memory_order_relaxed);
   }
   std::uint64_t connections_closed() const {
     return closed_.load(std::memory_order_relaxed);
@@ -172,6 +197,7 @@ class NetServer {
     int fd = -1;
     bool closed = false;        ///< destroy deferred to end of batch
     bool draining = false;      ///< close once the out buffer flushes
+    bool peer_gone = false;     ///< send failed: replies dropped, reads go on
     bool want_write = false;    ///< EPOLLOUT armed
     bool in_parked_list = false;
     std::uint8_t mode = kModeUnknown;        ///< frames vs HTTP demux
@@ -185,8 +211,11 @@ class NetServer {
     std::vector<ParkedFetch> parked;
   };
 
+  void open_listeners();
+  void close_fds();
   void loop_iteration();
-  void handle_listen();
+  /// Accepts every pending connection on `listen_fd` (TCP or local).
+  void handle_listen(int listen_fd);
   void handle_readable(Connection* c);
   void handle_writable(Connection* c);
   void handle_frame(Connection* c, const Frame& f);
@@ -233,6 +262,7 @@ class NetServer {
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
+  int local_fd_ = -1;  ///< abstract AF_UNIX listener; -1 when not published
   int wake_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
@@ -246,6 +276,7 @@ class NetServer {
   std::chrono::steady_clock::time_point last_tick_;
 
   std::atomic<std::uint64_t> accepted_{0};
+  std::atomic<std::uint64_t> local_accepted_{0};
   std::atomic<std::uint64_t> closed_{0};
   std::atomic<std::uint64_t> decode_errors_{0};
   std::atomic<std::uint64_t> stall_dumps_{0};
@@ -253,6 +284,7 @@ class NetServer {
   obs::Counter& obs_bytes_in_;
   obs::Counter& obs_bytes_out_;
   obs::Counter& obs_accepted_;
+  obs::Counter& obs_local_;
   obs::Counter& obs_closed_;
   obs::Counter& obs_decode_errors_;
   obs::Counter& obs_stall_dumps_;

@@ -5,11 +5,16 @@
 // report-deadline machinery, wire-telemetry visibility through obs::, the
 // pipelined-report contract (late errors, no delivered report lost to a
 // crash), session detach/remove/re-create churn, and the exits of the
-// client's reply wait (io_timeout, a server closing mid-wait).
+// client's reply wait (io_timeout, a server closing mid-wait), and the
+// local Unix transport (when it is published, its fallback to TCP, and no
+// report lost to a client's close).
 //
 // Each test runs the NetServer loop on a dedicated thread and drives it
 // from the test thread through real connections — the same topology as a
-// production deployment, minus network distance.
+// production deployment, minus network distance.  Tests whose outcome
+// could depend on the address family run twice: over the local Unix name
+// a server on 127.0.0.1 publishes, and over TCP on 127.0.0.2, where no
+// name is published.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,6 +22,7 @@
 #include <netinet/in.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <array>
@@ -42,6 +48,10 @@ namespace {
 
 using core::Point;
 
+// How test clients reach the server: the local Unix name (server and
+// client on 127.0.0.1) or TCP alone (both on 127.0.0.2, no name published).
+enum class Transport { kLocal, kTcp };
+
 struct LoopFixture {
   obs::Registry registry;
   harmony::SessionManager manager;
@@ -52,7 +62,12 @@ struct LoopFixture {
   std::atomic<bool> held{false};
   std::thread loop;
 
-  explicit LoopFixture(net::NetServerOptions options = {}) {
+  const Transport transport;
+
+  explicit LoopFixture(Transport t = Transport::kLocal,
+                       net::NetServerOptions options = {})
+      : transport(t) {
+    options.bind_address = address();
     options.metrics = &registry;
     // A short poll interval keeps deadline sweeps and parked-fetch checks
     // responsive at test scale.
@@ -86,15 +101,56 @@ struct LoopFixture {
         clients, so);
   }
 
+  const char* address() const {
+    return transport == Transport::kLocal ? "127.0.0.1" : "127.0.0.2";
+  }
+
   net::ClientOptions client_options() const {
     net::ClientOptions co;
+    co.host = address();
     co.port = server->port();
     return co;
   }
+
+  /// A bare connected socket over this fixture's transport, for tests
+  /// that speak frames by hand; -1 on failure.
+  int connect_raw() const {
+    int fd = -1;
+    int rc = -1;
+    if (transport == Transport::kLocal) {
+      sockaddr_un addr{};
+      const socklen_t len = net::local_address(server->port(), addr);
+      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd >= 0) rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), len);
+    } else {
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_port = htons(server->port());
+      ::inet_pton(AF_INET, address(), &addr.sin_addr);
+      fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      if (fd >= 0) {
+        rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+      }
+    }
+    if (rc != 0 && fd >= 0) {
+      ::close(fd);
+      fd = -1;
+    }
+    return fd;
+  }
 };
 
-TEST(NetLoop, SingleConnectionDrivesAWholeSessionToCompletion) {
-  LoopFixture fx;
+class NetLoopTransport : public ::testing::TestWithParam<Transport> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    , NetLoopTransport,
+    ::testing::Values(Transport::kLocal, Transport::kTcp),
+    [](const ::testing::TestParamInfo<Transport>& info) {
+      return info.param == Transport::kLocal ? "Local" : "Tcp";
+    });
+
+TEST_P(NetLoopTransport, SingleConnectionDrivesAWholeSessionToCompletion) {
+  LoopFixture fx(GetParam());
   auto hosted = fx.host("solo", 4);
   net::HarmonyClient client(fx.client_options());
   EXPECT_EQ(client.attach("solo", 0), 4u);
@@ -115,8 +171,8 @@ TEST(NetLoop, SingleConnectionDrivesAWholeSessionToCompletion) {
   EXPECT_DOUBLE_EQ(hosted->total_time(), kRounds * 4.0);  // max over ranks
 }
 
-TEST(NetLoop, ManyConnectionsShareOneSession) {
-  LoopFixture fx;
+TEST_P(NetLoopTransport, ManyConnectionsShareOneSession) {
+  LoopFixture fx(GetParam());
   auto hosted = fx.host("shared", 8);
   constexpr std::size_t kRounds = 10;
   std::vector<std::thread> drivers;
@@ -137,19 +193,13 @@ TEST(NetLoop, ManyConnectionsShareOneSession) {
   EXPECT_EQ(fx.server->connections_accepted(), 8u);
 }
 
-TEST(NetLoop, MalformedFrameGetsErrorFrameAndCloseServerSurvives) {
-  LoopFixture fx;
+TEST_P(NetLoopTransport, MalformedFrameGetsErrorFrameAndCloseServerSurvives) {
+  LoopFixture fx(GetParam());
   auto hosted = fx.host("resilient", 1);
 
   // Raw socket: send garbage that fails frame validation (bad version).
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = fx.connect_raw();
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(fx.server->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   std::vector<std::uint8_t> garbage;
   net::append_simple(garbage, net::MsgType::kAttach, 0, "resilient");
   garbage[4] = 0x7F;  // wrong wire version
@@ -182,8 +232,8 @@ TEST(NetLoop, MalformedFrameGetsErrorFrameAndCloseServerSurvives) {
   EXPECT_EQ(hosted->rounds_completed(), 5u);
 }
 
-TEST(NetLoop, ProtocolMisuseMapsToProtocolErrorOnTheClient) {
-  LoopFixture fx;
+TEST_P(NetLoopTransport, ProtocolMisuseMapsToProtocolErrorOnTheClient) {
+  LoopFixture fx(GetParam());
   fx.host("strict", 2);
   {
     // Fetch before attach.
@@ -214,8 +264,8 @@ TEST(NetLoop, ProtocolMisuseMapsToProtocolErrorOnTheClient) {
   }
 }
 
-TEST(NetLoop, DeadClientMidRoundBecomesAStraggler) {
-  LoopFixture fx;
+TEST_P(NetLoopTransport, DeadClientMidRoundBecomesAStraggler) {
+  LoopFixture fx(GetParam());
   harmony::ServerOptions so;
   so.report_timeout = std::chrono::duration<double>(0.05);
   so.straggler_policy = harmony::StragglerPolicy::kShrink;
@@ -244,8 +294,8 @@ TEST(NetLoop, DeadClientMidRoundBecomesAStraggler) {
   EXPECT_EQ(hosted->active_ranks(), 1u);  // rank 1 dropped as straggler
 }
 
-TEST(NetLoop, WireTelemetryIsVisibleThroughObs) {
-  LoopFixture fx;
+TEST_P(NetLoopTransport, WireTelemetryIsVisibleThroughObs) {
+  LoopFixture fx(GetParam());
   fx.host("observed", 1);
   net::HarmonyClient client(fx.client_options());
   client.attach("observed", 0);
@@ -262,6 +312,7 @@ TEST(NetLoop, WireTelemetryIsVisibleThroughObs) {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::uint64_t accepted = 0;
+  std::uint64_t local = 0;
   for (const obs::InstrumentSnapshot& inst : snap.instruments) {
     if (inst.name == "protuner_net_fetch_wire_ns") {
       saw_fetch_hist = true;
@@ -283,12 +334,18 @@ TEST(NetLoop, WireTelemetryIsVisibleThroughObs) {
     if (inst.name == "protuner_net_connections_accepted_total") {
       accepted = static_cast<std::uint64_t>(inst.value);
     }
+    if (inst.name == "protuner_net_local_connections_total") {
+      local = static_cast<std::uint64_t>(inst.value);
+    }
   }
   EXPECT_TRUE(saw_fetch_hist);
   EXPECT_TRUE(saw_report_hist);
   EXPECT_GT(bytes_in, 0u);
   EXPECT_GT(bytes_out, 0u);
   EXPECT_EQ(accepted, 1u);
+  // The path the client took shows on /metrics.
+  EXPECT_EQ(local, GetParam() == Transport::kLocal ? 1u : 0u);
+  EXPECT_EQ(fx.server->local_connections(), local);
 
   // The Prometheus exposition carries the net tier.
   std::ostringstream prom;
@@ -299,11 +356,11 @@ TEST(NetLoop, WireTelemetryIsVisibleThroughObs) {
   EXPECT_NE(page.find("session=\"observed\""), std::string::npos);
 }
 
-TEST(NetLoop, Version1ClientInteroperatesWithTheV2Server) {
+TEST_P(NetLoopTransport, Version1ClientInteroperatesWithTheV2Server) {
   // A PR-9 peer: wire version 1, no trace trailers, no Stats push.  The v2
   // server must speak v1 back to it for a complete attach → fetch → report
   // → detach lifecycle, with reports pipelined as in v2.
-  LoopFixture fx;
+  LoopFixture fx(GetParam());
   auto hosted = fx.host("legacy", 2);
   obs::Registry client_registry;
   net::ClientOptions co = fx.client_options();
@@ -401,19 +458,18 @@ TEST(NetLoop, ClientStatsPushMergesUnderTheClientLabel) {
   EXPECT_DOUBLE_EQ(hist->hist.max, 5000.0);
 }
 
+struct LastFrame {
+  net::MsgType type = net::MsgType::kAttach;
+  std::uint8_t version = 0;
+};
+
 // Raw-socket driver for hostile-client tests: sends `wire` verbatim, reads
-// to EOF, and returns the type of the last reply frame (the server closes
-// after an Error, so that is what a contained failure ends with).
-net::MsgType drive_raw(std::uint16_t port,
-                       const std::vector<std::uint8_t>& wire) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+// to EOF, and returns the last reply frame's type and version (the server
+// closes after an Error, so that is what a contained failure ends with).
+LastFrame drive_raw(const LoopFixture& fx,
+                    const std::vector<std::uint8_t>& wire) {
+  const int fd = fx.connect_raw();
   EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   std::size_t sent = 0;
   while (sent < wire.size()) {
     const ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
@@ -429,13 +485,13 @@ net::MsgType drive_raw(std::uint16_t port,
     got += static_cast<std::size_t>(n);
   }
   ::close(fd);
-  net::MsgType last = net::MsgType::kAttach;
+  LastFrame last;
   bool any = false;
   std::size_t off = 0;
   for (;;) {
     const net::Decoded d = net::decode_frame({reply.data() + off, got - off});
     if (d.status != net::DecodeStatus::kFrame) break;
-    last = d.frame.type;
+    last = {d.frame.type, d.frame.version};
     any = true;
     off += d.consumed;
   }
@@ -452,12 +508,27 @@ std::vector<std::uint8_t> stats_frame(const obs::RegistrySnapshot& snap) {
   return frame;
 }
 
-TEST(NetLoop, KindMismatchStatsPushClosesTheConnectionNotTheServer) {
+TEST_P(NetLoopTransport, ErrorFrameAnswersInThePeersWireVersion) {
+  // A version-1 decoder rejects version byte 2, so an Error frame sent to
+  // a v1 peer must be v1 too, or the peer reports "malformed frame"
+  // instead of the diagnostic.
+  LoopFixture fx(GetParam());
+  fx.host("old-misuse", 1);
+  for (const std::uint8_t version : {std::uint8_t{1}, net::kWireVersion}) {
+    std::vector<std::uint8_t> wire;
+    net::append_simple(wire, net::MsgType::kFetch, 0, {}, version);
+    const LastFrame last = drive_raw(fx, wire);  // fetch before attach
+    EXPECT_EQ(last.type, net::MsgType::kError);
+    EXPECT_EQ(last.version, version);
+  }
+}
+
+TEST_P(NetLoopTransport, KindMismatchStatsPushClosesTheConnectionNotTheServer) {
   // Regression: merge_from throws std::logic_error when a pushed instrument
   // collides with an existing one of a different kind.  Escaping the event
   // loop would std::terminate the whole server; it must cost exactly the
   // one connection, like any other client misbehaviour.
-  LoopFixture fx;
+  LoopFixture fx(GetParam());
   auto hosted = fx.host("armored", 1);
 
   std::vector<std::uint8_t> wire;
@@ -471,7 +542,7 @@ TEST(NetLoop, KindMismatchStatsPushClosesTheConnectionNotTheServer) {
   const std::vector<std::uint8_t> push2 = stats_frame(second.snapshot());
   wire.insert(wire.end(), push2.begin(), push2.end());
 
-  EXPECT_EQ(drive_raw(fx.server->port(), wire), net::MsgType::kError);
+  EXPECT_EQ(drive_raw(fx, wire).type, net::MsgType::kError);
   EXPECT_GE(fx.server->decode_errors(), 1u);
 
   // The loop is unharmed: a well-behaved client completes rounds.
@@ -492,7 +563,7 @@ TEST(NetLoop, StatsSeriesChurnPastTheCapClosesTheConnection) {
   // per-connection cap the push is rejected and the connection closed.
   net::NetServerOptions no;
   no.max_stats_series = 8;
-  LoopFixture fx(no);
+  LoopFixture fx(Transport::kLocal, no);
   auto hosted = fx.host("bounded", 1);
   const std::size_t before = fx.registry.size();
 
@@ -505,7 +576,7 @@ TEST(NetLoop, StatsSeriesChurnPastTheCapClosesTheConnection) {
   const std::vector<std::uint8_t> push = stats_frame(churner.snapshot());
   wire.insert(wire.end(), push.begin(), push.end());
 
-  EXPECT_EQ(drive_raw(fx.server->port(), wire), net::MsgType::kError);
+  EXPECT_EQ(drive_raw(fx, wire).type, net::MsgType::kError);
   EXPECT_GE(fx.server->decode_errors(), 1u);
   // At most the cap's worth of churn series landed (+2 for the session's
   // own wire histograms, minted by the attach).
@@ -536,7 +607,7 @@ TEST(NetLoop, WatchdogStallDumpCapturesTheParkedFetchAndTheImpute) {
   net::NetServerOptions no;
   no.stall_timeout = std::chrono::duration<double>(0.25);
   no.flight = &flight;
-  LoopFixture fx(no);
+  LoopFixture fx(Transport::kLocal, no);
   harmony::ServerOptions so;
   so.report_timeout = std::chrono::duration<double>(0.05);
   so.straggler_policy = harmony::StragglerPolicy::kShrink;
@@ -642,11 +713,11 @@ void drive_rounds(const LoopFixture& fx, const std::string& session,
   client.detach(0);
 }
 
-TEST(NetLoop, PipelinedReportMisuseSurfacesAtTheNextFetch) {
+TEST_P(NetLoopTransport, PipelinedReportMisuseSurfacesAtTheNextFetch) {
   // report() returns once its frame is written, so a report the server
   // rejects (here: a second report without a fetch) throws from the next
   // call that reads a reply.
-  LoopFixture fx;
+  LoopFixture fx(GetParam());
   auto hosted = fx.host("late", 1);
   net::HarmonyClient client(fx.client_options());
   client.attach("late", 0);
@@ -662,8 +733,8 @@ TEST(NetLoop, PipelinedReportMisuseSurfacesAtTheNextFetch) {
   EXPECT_EQ(hosted->rounds_completed(), 4u);
 }
 
-TEST(NetLoop, PipelinedReportMisuseSurfacesAtDetach) {
-  LoopFixture fx;
+TEST_P(NetLoopTransport, PipelinedReportMisuseSurfacesAtDetach) {
+  LoopFixture fx(GetParam());
   auto hosted = fx.host("late-bye", 1);
   obs::Registry client_registry;  // detach's stats push must not mask it
   net::ClientOptions co = fx.client_options();
@@ -681,12 +752,13 @@ TEST(NetLoop, PipelinedReportMisuseSurfacesAtDetach) {
   EXPECT_EQ(hosted->rounds_completed(), 4u);
 }
 
-TEST(NetLoop, PipelinedReportErrorOutlivesTheConnectionReset) {
-  // Frames sent after the server closed on an Error make its kernel answer
-  // with a reset, and the next send fails with a broken pipe.  The Error
-  // frame is already in the client's receive buffer; it, not the broken
-  // pipe, must be what the caller sees.
-  LoopFixture fx;
+TEST_P(NetLoopTransport, PipelinedReportErrorOutlivesTheConnectionReset) {
+  // Frames sent after the server closed on an Error fail to send: over TCP
+  // the server's kernel answers the first with a reset and a later send
+  // fails with a broken pipe; over the local Unix socket the first send
+  // fails at once.  The Error frame is already in the client's receive
+  // buffer; it, not the broken pipe, must be what the caller sees.
+  LoopFixture fx(GetParam());
   fx.host("reset", 2);
   net::HarmonyClient client(fx.client_options());
   client.attach("reset", 0);
@@ -696,29 +768,41 @@ TEST(NetLoop, PipelinedReportErrorOutlivesTheConnectionReset) {
   client.report(0, 1.0);
   client.report(0, 1.0);  // misuse: the server sends Error and closes
   ASSERT_TRUE(eventually([&] { return fx.server->connections_closed() == 1; }));
-  client.report(1, 1.0);  // lands on a closed socket: the peer resets
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_THROW(client.fetch_into(0, cfg), harmony::ProtocolError);
+  if (GetParam() == Transport::kTcp) {
+    client.report(1, 1.0);  // lands on a closed socket: the peer resets
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_THROW(client.fetch_into(0, cfg), harmony::ProtocolError);
+  } else {
+    // The report's own send finds the connection torn down, so report()
+    // may throw (the "later report" case of its contract); otherwise the
+    // fetch does.  Either way the server's diagnostic, never a NetError.
+    try {
+      client.report(1, 1.0);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      client.fetch_into(0, cfg);
+      ADD_FAILURE() << "the rejected report never surfaced";
+    } catch (const harmony::ProtocolError& ex) {
+      EXPECT_NE(std::string(ex.what()).find("reported without fetching"),
+                std::string::npos)
+          << ex.what();
+    } catch (const net::NetError& ex) {
+      ADD_FAILURE() << "a transport error masked the diagnostic: "
+                    << ex.what();
+    }
+  }
   EXPECT_FALSE(client.connected());
 }
 
-// A bare TCP connection speaking frames by hand, for tests that need the
+// A bare connection speaking frames by hand, for tests that need the
 // kernel's view of the socket, which net::HarmonyClient hides.
 class RawConn {
  public:
-  explicit RawConn(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                                       sizeof(addr)) == 0;
-  }
+  explicit RawConn(const LoopFixture& fx) : fd_(fx.connect_raw()) {}
   ~RawConn() { close(); }
   RawConn(const RawConn&) = delete;
   RawConn& operator=(const RawConn&) = delete;
 
-  bool connected() const { return connected_; }
+  bool connected() const { return fd_ >= 0; }
 
   bool send(const std::vector<std::uint8_t>& bytes) {
     return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
@@ -759,7 +843,6 @@ class RawConn {
   }
 
   int fd_;
-  bool connected_ = false;
   std::array<std::uint8_t, 4096> in_{};
   std::size_t used_ = 0;
 };
@@ -770,13 +853,15 @@ TEST(NetLoop, ReportsDeliveredBeforeACrashAreAllApplied) {
   // delivered must still be applied: the server reads what is queued on
   // its side of the socket before it sees the reset.  (Bytes a crash
   // leaves unsent are lost with the reset; the deadline machinery owns
-  // that case, as for a client that died before reporting.)
-  LoopFixture fx;
+  // that case, as for a client that died before reporting.)  TCP only:
+  // a Unix send enqueues straight onto the server's socket, so the local
+  // path has no such window (LocalReportsWrittenBeforeACloseAreAllApplied).
+  LoopFixture fx(Transport::kTcp);
   constexpr std::uint32_t kRanks = 4;
   for (int trial = 0; trial < 20; ++trial) {
     const std::string name = "crash-" + std::to_string(trial);
     auto hosted = fx.host(name, kRanks);
-    RawConn raw(fx.server->port());
+    RawConn raw(fx);
     ASSERT_TRUE(raw.connected());
     std::vector<std::uint8_t> frame;
     net::append_simple(frame, net::MsgType::kAttach, 0, name);
@@ -860,10 +945,10 @@ TEST(NetLoop, RecreatedSessionNameResolvesToTheNewServer) {
   EXPECT_TRUE(fx.manager.remove("phoenix"));
 }
 
-TEST(NetLoop, FetchWhoseRoundNeverOpensTimesOutAndTheLoopSurvives) {
+TEST_P(NetLoopTransport, FetchWhoseRoundNeverOpensTimesOutAndTheLoopSurvives) {
   // The reply wait polls before it blocks; a round that never opens must
   // still end in the io_timeout NetError once the blocking receive expires.
-  LoopFixture fx;
+  LoopFixture fx(GetParam());
   fx.host("stuck", 2);
   net::ClientOptions co = fx.client_options();
   co.io_timeout = std::chrono::milliseconds(100);
@@ -931,6 +1016,130 @@ TEST(NetLoop, ServerClosingDuringTheReplyWaitIsANetError) {
     server.join();
     ::close(listener);
   }
+}
+
+// True when something listens on the local Unix name for `port`.
+bool local_name_listens(std::uint16_t port) {
+  sockaddr_un addr{};
+  const socklen_t len = net::local_address(port, addr);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const bool ok =
+      fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), len) == 0;
+  if (fd >= 0) ::close(fd);
+  return ok;
+}
+
+TEST(NetLoop, LocalNameIsPublishedOnlyWhenTheServerOwnsLoopback) {
+  // 127.0.0.1 and 0.0.0.0 binds own 127.0.0.1:<port>, the address a client
+  // maps to the name; a 127.0.0.2 bind does not, and must stay silent.
+  harmony::SessionManager manager;
+  for (const char* bind : {"127.0.0.1", "0.0.0.0", "127.0.0.2"}) {
+    net::NetServer server(manager, {.bind_address = bind});
+    EXPECT_EQ(local_name_listens(server.port()),
+              std::string_view(bind) != "127.0.0.2")
+        << bind;
+  }
+}
+
+TEST(NetLoop, TakenLocalNameMakesTheConstructorThrow) {
+  // Reserve a TCP port without listening on it (SO_REUSEADDR lets the
+  // server bind it too), squat on its local name, then start a server
+  // there: it must refuse rather than leave its local clients to the
+  // squatter.
+  const int reserve = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(reserve, 0);
+  int one = 1;
+  ::setsockopt(reserve, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in in{};
+  in.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &in.sin_addr);
+  socklen_t in_len = sizeof(in);
+  ASSERT_EQ(::bind(reserve, reinterpret_cast<sockaddr*>(&in), in_len), 0);
+  ASSERT_EQ(::getsockname(reserve, reinterpret_cast<sockaddr*>(&in), &in_len),
+            0);
+  const std::uint16_t port = ntohs(in.sin_port);
+
+  const int squatter = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(squatter, 0);
+  sockaddr_un un{};
+  const socklen_t un_len = net::local_address(port, un);
+  ASSERT_EQ(::bind(squatter, reinterpret_cast<sockaddr*>(&un), un_len), 0);
+  ASSERT_EQ(::listen(squatter, 4), 0);
+
+  harmony::SessionManager manager;
+  EXPECT_THROW(net::NetServer(manager, {.port = port}), net::NetError);
+  // The failed constructor released what it had bound: with the name
+  // free again, the same port serves.
+  ::close(squatter);
+  net::NetServer server(manager, {.port = port});
+  EXPECT_EQ(server.port(), port);
+  EXPECT_TRUE(local_name_listens(port));
+  ::close(reserve);
+}
+
+TEST(NetLoop, ClientFallsBackToTcpWhenNoLocalNameListens) {
+  // A plain TCP stand-in on 127.0.0.1 publishes no name; the client must
+  // reach it over TCP in the same connect attempt.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread stand_in([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    std::array<std::uint8_t, 64> request{};
+    (void)::recv(fd, request.data(), request.size(), 0);
+    std::vector<std::uint8_t> ack;
+    net::append_attach_ack(ack, 0, 7);
+    (void)::send(fd, ack.data(), ack.size(), MSG_NOSIGNAL);
+    (void)::recv(fd, request.data(), request.size(), 0);  // until close
+    ::close(fd);
+  });
+  {
+    net::ClientOptions co;
+    co.port = ntohs(addr.sin_port);
+    co.connect_timeout = std::chrono::milliseconds(500);
+    net::HarmonyClient client(co);
+    EXPECT_EQ(client.attach("anything", 0), 7u);
+  }
+  stand_in.join();
+  ::close(listener);
+}
+
+TEST(NetLoop, LocalReportsWrittenBeforeACloseAreAllApplied) {
+  // A client that reports and closes without detaching, its acks unread:
+  // on the local path every report whose send returned is already queued
+  // on the server's socket, so each one is applied — also when the loop is
+  // held and only reads them after the close.
+  LoopFixture fx;
+  constexpr std::uint32_t kRanks = 4;
+  constexpr std::size_t kTrials = 1000;
+  auto hosted = fx.host("closer", kRanks);
+  Point cfg;
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    net::HarmonyClient client(fx.client_options());
+    client.attach("closer", 0);
+    for (int k = 0; k < 2; ++k) {
+      for (std::uint32_t r = 0; r < kRanks; ++r) client.fetch_into(r, cfg);
+      if (k == 1 && trial % 2 == 0) {
+        fx.hold.store(true);
+        ASSERT_TRUE(eventually([&] { return fx.held.load(); }));
+      }
+      for (std::uint32_t r = 0; r < kRanks; ++r) client.report(r, 1.0 + r);
+    }
+    client.close();
+    fx.hold.store(false);
+    ASSERT_TRUE(eventually(
+        [&] { return hosted->rounds_completed() == 2 * (trial + 1); }))
+        << "trial " << trial
+        << " lost a report: rounds=" << hosted->rounds_completed();
+  }
+  EXPECT_EQ(fx.server->local_connections(), kTrials);
 }
 
 }  // namespace
