@@ -43,7 +43,7 @@ core::RoundEngineOptions engine_options(std::size_t clients,
   core::RoundEngineOptions eo;
   eo.width = clients;
   eo.pad_assignment = true;
-  eo.record_series = false;  // the server keeps its own series (stats cache)
+  eo.record_series = options.record_series;
   eo.observer = options.observer;
   eo.impute_penalty = options.impute_penalty;
   eo.metrics = options.metrics;
@@ -136,7 +136,6 @@ Server::Server(core::TuningStrategyPtr strategy, std::size_t clients,
     const obs::ScopedTraceContext ctx({id, id});
     engine_.open_round();
   }
-  refresh_stats_cache_locked(0.0);
   publish_round_locked(0);
 }
 
@@ -164,20 +163,6 @@ void Server::fail_locked(const std::string& why) {
   failed_.store(true, std::memory_order_release);
   round_ready_.notify_all();
   throw ProtocolError("harmony session failed: " + failure_);
-}
-
-void Server::refresh_stats_cache_locked(double last_cost) {
-  stat_rounds_.store(engine_.rounds_completed(), std::memory_order_relaxed);
-  stat_total_time_.store(engine_.total_time(), std::memory_order_relaxed);
-  stat_converged_.store(strategy_->converged(), std::memory_order_relaxed);
-  stat_convergence_round_.store(engine_.convergence_round().value_or(0),
-                                std::memory_order_relaxed);
-  stat_active_.store(engine_.active_count(), std::memory_order_relaxed);
-  const std::scoped_lock stats(stats_mutex_);
-  stat_best_ = strategy_->best_point();
-  if (options_.record_series && engine_.rounds_completed() > 0) {
-    stat_costs_.push_back(last_cost);
-  }
 }
 
 void Server::publish_round_locked(std::uint64_t round) {
@@ -221,7 +206,6 @@ void Server::advance_locked() {
     const obs::ScopedTraceContext ctx({id, id});
     engine_.open_round();
   }
-  refresh_stats_cache_locked(cost);
   publish_round_locked(cur + 1);
 }
 
@@ -373,11 +357,51 @@ bool Server::fetch_fast(std::size_t rank, core::Point& out,
   return false;
 }
 
+bool Server::serve_locked(std::size_t rank, core::Point& out,
+                          std::uint64_t entered) {
+  throw_if_failed_locked();
+  RankState& rs = ranks_[rank];
+  // A rank may only fetch for the round it is in; it advances its round on
+  // report.  The server's round counter trails the slowest expected rank.
+  const std::uint64_t cur = round_.load(std::memory_order_relaxed);
+  if (rs.round == cur && engine_.expected(rank)) {
+    if (rs.fetched) {
+      note_protocol_error("error/double-fetch", rank);
+      throw ProtocolError("fetch: rank " + std::to_string(rank) +
+                          " fetched twice without reporting");
+    }
+    rs.fetched = true;
+    out = engine_.assignment_for(rank);
+    obs_fetch_ns_.record(elapsed_ns(entered));
+    return true;
+  }
+  if (rs.round <= cur) {
+    // Dropped, or overtaken because its round was deadline-closed beneath
+    // it: re-enter the session at the next round.
+    rs.fetched = false;
+    flight_.record("rank/reenter", options_.session,
+                   static_cast<std::uint32_t>(rank), cur + 1);
+    engine_.reactivate(rank);
+    rs.round = cur + 1;
+  }
+  return false;
+}
+
 void Server::fetch_into(std::size_t rank, core::Point& out) {
   obs::ScopedSpan span(obs::Tracer::global(), "harmony/fetch");
   const std::uint64_t entered = obs::LatencyClock::now();
   check_fetch_rank(rank);
-  if (!fetch_fast(rank, out, entered)) fetch_slow(rank, out, entered);
+  if (!fetch_fast(rank, out, entered)) {
+    std::unique_lock lock(mutex_);
+    while (!serve_locked(rank, out, entered)) {
+      if (!deadline_enabled()) {
+        round_ready_.wait(lock);
+      } else if (round_ready_.wait_until(lock, deadline_locked()) ==
+                 std::cv_status::timeout) {
+        close_by_deadline_locked();
+      }
+    }
+  }
   if (span.active()) {
     // A fetch leaves rs.round at the round it served.
     const std::uint64_t id = round_trace_id(ranks_[rank].round);
@@ -395,87 +419,16 @@ bool Server::try_fetch_into(std::size_t rank, core::Point& out,
   obs::ScopedSpan span(obs::Tracer::global(), "harmony/fetch");
   const std::uint64_t entered = obs::LatencyClock::now();
   check_fetch_rank(rank);
-  if (fetch_fast(rank, out, entered)) {
-    const std::uint64_t id = round_trace_id(ranks_[rank].round);
-    trace = {id, id};
-    span.set_context(trace);
-    return true;
+  if (!fetch_fast(rank, out, entered)) {
+    // Where fetch_into would sleep on round_ready_, return false: the
+    // caller retries after the next publish.
+    const std::scoped_lock lock(mutex_);
+    if (!serve_locked(rank, out, entered)) return false;
   }
-  // Non-waiting slow path: the same protocol steps fetch_slow takes under
-  // the barrier lock — serve if the rank's round is open, re-enter a
-  // dropped/overtaken rank — except it returns false where fetch_slow
-  // would sleep on round_ready_.
-  const std::scoped_lock lock(mutex_);
-  throw_if_failed_locked();
-  RankState& rs = ranks_[rank];
-  const std::uint64_t cur = round_.load(std::memory_order_relaxed);
-  if (rs.round == cur && engine_.expected(rank)) {
-    if (rs.fetched) {
-      note_protocol_error("error/double-fetch", rank);
-      throw ProtocolError("fetch: rank " + std::to_string(rank) +
-                          " fetched twice without reporting");
-    }
-    rs.fetched = true;
-    out = engine_.assignment_for(rank);
-    obs_fetch_ns_.record(elapsed_ns(entered));
-    const std::uint64_t id = round_trace_id(cur);
-    trace = {id, id};
-    span.set_context(trace);
-    return true;
-  }
-  if (rs.round <= cur) {
-    // Dropped, or overtaken because its round was deadline-closed beneath
-    // it: re-enter the session at the next round; the caller retries after
-    // the next publish.
-    rs.fetched = false;
-    flight_.record("rank/reenter", options_.session,
-                   static_cast<std::uint32_t>(rank), cur + 1);
-    engine_.reactivate(rank);
-    stat_active_.store(engine_.active_count(), std::memory_order_relaxed);
-    rs.round = cur + 1;
-  }
-  return false;
-}
-
-void Server::fetch_slow(std::size_t rank, core::Point& out,
-                        std::uint64_t entered) {
-  std::unique_lock lock(mutex_);
-  RankState& rs = ranks_[rank];
-  // A rank may only fetch for the round it is in; it advances its round on
-  // report.  The server's round counter trails the slowest expected rank.
-  for (;;) {
-    throw_if_failed_locked();
-    const std::uint64_t cur = round_.load(std::memory_order_relaxed);
-    if (rs.round == cur && engine_.expected(rank)) {
-      if (rs.fetched) {
-        note_protocol_error("error/double-fetch", rank);
-        throw ProtocolError("fetch: rank " + std::to_string(rank) +
-                            " fetched twice without reporting");
-      }
-      break;
-    }
-    if (rs.round <= cur) {
-      // Dropped, or overtaken because its round was deadline-closed
-      // beneath it: re-enter the session at the next round.
-      rs.fetched = false;
-      flight_.record("rank/reenter", options_.session,
-                     static_cast<std::uint32_t>(rank), cur + 1);
-      engine_.reactivate(rank);
-      stat_active_.store(engine_.active_count(), std::memory_order_relaxed);
-      rs.round = cur + 1;
-    }
-    if (deadline_enabled()) {
-      if (round_ready_.wait_until(lock, deadline_locked()) ==
-          std::cv_status::timeout) {
-        close_by_deadline_locked();
-      }
-    } else {
-      round_ready_.wait(lock);
-    }
-  }
-  rs.fetched = true;
-  out = engine_.assignment_for(rank);
-  obs_fetch_ns_.record(elapsed_ns(entered));
+  const std::uint64_t id = round_trace_id(ranks_[rank].round);
+  trace = {id, id};
+  span.set_context(trace);
+  return true;
 }
 
 void Server::report(std::size_t rank, double time) {
@@ -554,36 +507,38 @@ bool Server::tick() {
 }
 
 double Server::total_time() const {
-  return stat_total_time_.load(std::memory_order_relaxed);
+  const std::scoped_lock lock(mutex_);
+  return engine_.total_time();
 }
 
 std::size_t Server::rounds_completed() const {
-  return stat_rounds_.load(std::memory_order_relaxed);
+  const std::scoped_lock lock(mutex_);
+  return engine_.rounds_completed();
 }
 
 core::Point Server::best_point() const {
-  const std::scoped_lock stats(stats_mutex_);
-  return stat_best_;
+  const std::scoped_lock lock(mutex_);
+  return strategy_->best_point();
 }
 
 bool Server::converged() const {
-  return stat_converged_.load(std::memory_order_relaxed);
+  const std::scoped_lock lock(mutex_);
+  return strategy_->converged();
 }
 
 std::vector<double> Server::step_costs() const {
-  const std::scoped_lock stats(stats_mutex_);
-  return stat_costs_;
+  const std::scoped_lock lock(mutex_);
+  return engine_.step_costs();
 }
 
 std::optional<std::size_t> Server::convergence_round() const {
-  const std::size_t r =
-      stat_convergence_round_.load(std::memory_order_relaxed);
-  if (r == 0) return std::nullopt;
-  return r;
+  const std::scoped_lock lock(mutex_);
+  return engine_.convergence_round();
 }
 
 std::size_t Server::active_ranks() const {
-  return stat_active_.load(std::memory_order_relaxed);
+  const std::scoped_lock lock(mutex_);
+  return engine_.active_count();
 }
 
 std::string Server::strategy_name() const { return strategy_name_; }

@@ -11,21 +11,17 @@
 //     (T_k = max over ranks, strategy advance, observer fan-out) and opens
 //     the next one.
 //
-// Concurrency (DESIGN.md §12): the Collecting phase is contention-free.
-// Each open round's assignment and per-slot completion state live in a
+// Concurrency (DESIGN.md §12): the Collecting phase takes no mutex.  Each
+// open round's assignment and per-slot completion state live in a
 // double-buffered RoundBuffer published with release/acquire ordering on the
 // round counter; a fetch for the open round and a report that is not the
-// round's last touch only per-slot atomics and a reader-count gate (two
-// uncontended RMWs), so distinct ranks never serialize on a mutex.  The
-// exclusive lock is taken only at the round-advance barrier (the last
-// report or a deadline sweep), by blocked fetch waiters, and by rank
-// re-entry — exactly the points where the protocol itself is a barrier.
-// Latency telemetry stamps with obs::LatencyClock (rdtsc) instead of
-// steady_clock — at serving rates the four vDSO clock reads per
-// fetch/report pair outweigh the protocol itself.  Accounting accessors
-// read an atomics-backed stats cache refreshed at each advance, so
-// monitoring (stats snapshots, exporters) never blocks fetch/report
-// traffic.
+// round's last touch only per-slot atomics and a reader-count gate, so
+// distinct ranks never serialize on a mutex.  Everything else — the
+// round-advance barrier (the last report or a deadline sweep), blocked
+// fetch waiters, rank re-entry, tick() and the accounting accessors — takes
+// the one plain mutex.  Latency telemetry stamps with obs::LatencyClock
+// (rdtsc) instead of steady_clock — at serving rates the four vDSO clock
+// reads per fetch/report pair outweigh the protocol itself.
 //
 // Deadline-aware round closing: with ServerOptions::report_timeout set, a
 // round that stays open past the deadline is force-closed — every missing
@@ -172,9 +168,9 @@ class Server {
   /// blocks concurrent fetch/report fast paths, however often it is called.
   bool tick();
 
-  /// Accounting (safe to read while traffic is in flight: these read the
-  /// atomics-backed stats cache refreshed at each round advance and never
-  /// contend with the fetch/report fast path).
+  /// Accounting (safe to read while traffic is in flight: each takes the
+  /// round-advance lock briefly, which the Collecting-phase fetch/report
+  /// never takes).
   double total_time() const;
   std::size_t rounds_completed() const;
   core::Point best_point() const;
@@ -268,7 +264,7 @@ class Server {
   /// Closes round `round` once every expected slot is claimed: feeds the
   /// engine, handles imputed slots, advances and publishes the successor.
   void finish_round_locked(std::uint64_t round);
-  /// Engine close + open, stats-cache refresh, successor publication.
+  /// Engine close + open and successor publication.
   void advance_locked();
   /// Copies the engine's open assignment into the target round's buffer and
   /// publishes it by storing round_.
@@ -282,10 +278,11 @@ class Server {
   /// gate; false when the caller must take the slow (mutex) path.
   /// `entered` is the obs::LatencyClock stamp taken at fetch entry.
   bool fetch_fast(std::size_t rank, core::Point& out, std::uint64_t entered);
-  /// Slow fetch path: blocked waiters, rank re-entry, failure reporting.
-  void fetch_slow(std::size_t rank, core::Point& out, std::uint64_t entered);
+  /// Slow fetch path under mutex_: serves the rank if its round is open and
+  /// returns true; otherwise re-enters a dropped or overtaken rank at the
+  /// next round and returns false (the caller waits or retries).
+  bool serve_locked(std::size_t rank, core::Point& out, std::uint64_t entered);
   void check_fetch_rank(std::size_t rank) const;
-  void refresh_stats_cache_locked(double last_cost);
   /// Counts the violation and appends it to the flight recorder.
   void note_protocol_error(const char* kind, std::size_t rank) const;
 
@@ -310,26 +307,13 @@ class Server {
   std::vector<RankState> ranks_;
 
   // -------------------------------------------- round-advance barrier lock
-  // Guards the engine, the deadline clock and the failure string.  Taken by
-  // the closing report, the deadline sweep, blocked fetch waiters and rank
-  // re-entry — never by the Collecting-phase fast path.
+  // Guards the engine, the strategy, the deadline clock and the failure
+  // string.  Taken by everything except the Collecting-phase fast path.
   mutable std::mutex mutex_;
   std::condition_variable round_ready_;
   core::RoundEngine engine_;
   std::chrono::steady_clock::time_point round_opened_;
   std::string failure_;  ///< non-empty once the session is poisoned
-
-  // ------------------------------------------------------------ stats cache
-  // Refreshed under mutex_ at every advance; read by the accessors without
-  // touching mutex_, so exporters and dashboards never stall traffic.
-  std::atomic<std::size_t> stat_rounds_{0};
-  std::atomic<double> stat_total_time_{0.0};
-  std::atomic<bool> stat_converged_{false};
-  std::atomic<std::size_t> stat_convergence_round_{0};  ///< 0 = none yet
-  std::atomic<std::size_t> stat_active_{0};
-  mutable std::mutex stats_mutex_;  ///< guards the two non-atomic fields
-  core::Point stat_best_;
-  std::vector<double> stat_costs_;
   const std::string strategy_name_;
 };
 

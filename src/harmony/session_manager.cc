@@ -1,43 +1,14 @@
 #include "harmony/session_manager.h"
 
 #include <algorithm>
-#include <functional>
-#include <mutex>
 #include <utility>
 
 namespace protuner::harmony {
 
-SessionManager::Shard& SessionManager::shard_for(const std::string& name) {
-  return shards_[std::hash<std::string>{}(name) % kShardCount];
-}
-
-const SessionManager::Shard& SessionManager::shard_for(
-    const std::string& name) const {
-  return shards_[std::hash<std::string>{}(name) % kShardCount];
-}
-
-std::shared_ptr<SessionManager::Hosted> SessionManager::find_hosted(
-    const std::string& name) const {
-  const Shard& shard = shard_for(name);
-  const std::shared_lock lock(shard.mutex);
-  const auto it = shard.sessions.find(name);
-  return it == shard.sessions.end() ? nullptr : it->second;
-}
-
-std::vector<std::pair<std::string, std::shared_ptr<SessionManager::Hosted>>>
+std::vector<std::pair<std::string, SessionManager::Hosted>>
 SessionManager::pin_all() const {
-  std::vector<std::pair<std::string, std::shared_ptr<Hosted>>> out;
-  for (const Shard& shard : shards_) {
-    const std::shared_lock lock(shard.mutex);
-    for (const auto& [name, hosted] : shard.sessions) {
-      out.emplace_back(name, hosted);
-    }
-  }
-  // Shards split the namespace by hash; re-establish the global name order
-  // callers of names()/stats_all() rely on.
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+  const std::scoped_lock lock(mutex_);
+  return {sessions_.begin(), sessions_.end()};
 }
 
 std::shared_ptr<Server> SessionManager::create(const std::string& name,
@@ -52,86 +23,66 @@ std::shared_ptr<Server> SessionManager::create(const std::string& name,
   // strategy's first proposal, which can be arbitrarily expensive.
   auto server =
       std::make_shared<Server>(std::move(strategy), clients, options);
-  auto hosted = std::make_shared<Hosted>();
-  hosted->server = std::move(server);
-  Shard& shard = shard_for(name);
-  const std::unique_lock lock(shard.mutex);
-  const auto [it, inserted] =
-      shard.sessions.try_emplace(name, std::move(hosted));
+  const std::scoped_lock lock(mutex_);
+  const auto [it, inserted] = sessions_.try_emplace(name, Hosted{server});
   if (!inserted) {
     throw SessionError("create: session '" + name + "' already exists");
   }
-  return it->second->server;
+  return server;
 }
 
 std::shared_ptr<Server> SessionManager::attach(const std::string& name) {
-  const Shard& shard = shard_for(name);
-  const std::shared_lock lock(shard.mutex);
-  const auto it = shard.sessions.find(name);
-  if (it == shard.sessions.end()) {
+  const std::scoped_lock lock(mutex_);
+  const auto it = sessions_.find(name);
+  if (it == sessions_.end()) {
     throw SessionError("attach: no session named '" + name + "'");
   }
-  // Reader lock suffices: remove() takes the writer lock, so its
-  // attached==0 check cannot interleave with this increment.
-  it->second->attached.fetch_add(1, std::memory_order_relaxed);
-  return it->second->server;
+  ++it->second.attached;
+  return it->second.server;
 }
 
 void SessionManager::detach(const std::string& name) {
-  const Shard& shard = shard_for(name);
-  const std::shared_lock lock(shard.mutex);
-  const auto it = shard.sessions.find(name);
-  if (it == shard.sessions.end()) {
+  const std::scoped_lock lock(mutex_);
+  const auto it = sessions_.find(name);
+  if (it == sessions_.end()) {
     throw SessionError("detach: no session named '" + name + "'");
   }
-  // CAS loop rather than blind decrement: concurrent over-detach must not
-  // wrap the count below zero before the error is raised.
-  std::atomic<std::size_t>& attached = it->second->attached;
-  std::size_t have = attached.load(std::memory_order_relaxed);
-  do {
-    if (have == 0) {
-      throw SessionError("detach: session '" + name + "' is not attached");
-    }
-  } while (!attached.compare_exchange_weak(have, have - 1,
-                                           std::memory_order_relaxed));
+  if (it->second.attached == 0) {
+    throw SessionError("detach: session '" + name + "' is not attached");
+  }
+  --it->second.attached;
 }
 
 std::shared_ptr<Server> SessionManager::find(const std::string& name) const {
-  const auto hosted = find_hosted(name);
-  return hosted == nullptr ? nullptr : hosted->server;
+  const std::scoped_lock lock(mutex_);
+  const auto it = sessions_.find(name);
+  return it == sessions_.end() ? nullptr : it->second.server;
 }
 
 bool SessionManager::remove(const std::string& name) {
-  Shard& shard = shard_for(name);
-  const std::unique_lock lock(shard.mutex);
-  const auto it = shard.sessions.find(name);
-  if (it == shard.sessions.end()) return false;
-  // Writer lock excludes attach(), so this check is race-free.
-  const std::size_t attached =
-      it->second->attached.load(std::memory_order_relaxed);
-  if (attached > 0) {
+  const std::scoped_lock lock(mutex_);
+  const auto it = sessions_.find(name);
+  if (it == sessions_.end()) return false;
+  if (it->second.attached > 0) {
     throw SessionError("remove: session '" + name + "' still has " +
-                       std::to_string(attached) + " attachment(s)");
+                       std::to_string(it->second.attached) +
+                       " attachment(s)");
   }
-  shard.sessions.erase(it);
+  sessions_.erase(it);
   return true;
 }
 
 std::vector<std::string> SessionManager::names() const {
-  const auto pinned = pin_all();
+  const std::scoped_lock lock(mutex_);
   std::vector<std::string> out;
-  out.reserve(pinned.size());
-  for (const auto& [name, hosted] : pinned) out.push_back(name);
+  out.reserve(sessions_.size());
+  for (const auto& [name, hosted] : sessions_) out.push_back(name);
   return out;
 }
 
 std::size_t SessionManager::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::shared_lock lock(shard.mutex);
-    total += shard.sessions.size();
-  }
-  return total;
+  const std::scoped_lock lock(mutex_);
+  return sessions_.size();
 }
 
 SessionManager::SessionStats SessionManager::stats_of(
@@ -142,7 +93,7 @@ SessionManager::SessionStats SessionManager::stats_of(
   s.strategy = server.strategy_name();
   s.clients = server.clients();
   s.active_ranks = server.active_ranks();
-  s.attached = hosted.attached.load(std::memory_order_relaxed);
+  s.attached = hosted.attached;
   s.rounds = server.rounds_completed();
   s.total_time = server.total_time();
   s.converged = server.converged();
@@ -153,15 +104,18 @@ SessionManager::SessionStats SessionManager::stats_of(
 
 SessionManager::SessionStats SessionManager::stats(
     const std::string& name) const {
-  // Pin the record under the shard's reader lock, aggregate after release:
-  // the server accessor calls must never extend the registry critical
-  // section (they are cheap today, but stats must not be able to block
-  // create/remove however slow the session is).
-  const auto hosted = find_hosted(name);
-  if (hosted == nullptr) {
-    throw SessionError("stats: no session named '" + name + "'");
+  // Copy the record under the lock, aggregate after release: the server
+  // accessor calls must never extend the registry critical section.
+  Hosted hosted;
+  {
+    const std::scoped_lock lock(mutex_);
+    const auto it = sessions_.find(name);
+    if (it == sessions_.end()) {
+      throw SessionError("stats: no session named '" + name + "'");
+    }
+    hosted = it->second;
   }
-  return stats_of(name, *hosted);
+  return stats_of(name, hosted);
 }
 
 std::vector<SessionManager::SessionStats> SessionManager::stats_all() const {
@@ -169,14 +123,14 @@ std::vector<SessionManager::SessionStats> SessionManager::stats_all() const {
   std::vector<SessionStats> out;
   out.reserve(pinned.size());
   for (const auto& [name, hosted] : pinned) {
-    out.push_back(stats_of(name, *hosted));
+    out.push_back(stats_of(name, hosted));
   }
   return out;
 }
 
 obs::RegistrySnapshot SessionManager::metrics_snapshot() const {
   const auto pinned = pin_all();
-  // Snapshot outside the registry locks; sessions sharing one obs::Registry
+  // Snapshot outside the registry lock; sessions sharing one obs::Registry
   // may overlap, so duplicate (name, labels) series are dropped.
   obs::RegistrySnapshot out;
   const auto merge = [&out](obs::RegistrySnapshot s) {
@@ -190,7 +144,7 @@ obs::RegistrySnapshot SessionManager::metrics_snapshot() const {
     }
   };
   for (const auto& [name, hosted] : pinned) {
-    merge(hosted->server->metrics_snapshot());
+    merge(hosted.server->metrics_snapshot());
   }
   // Process-wide subsystem telemetry (database tiers, clean-time cache,
   // thread pools) carries no session label but belongs on the serving

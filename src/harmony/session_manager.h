@@ -13,28 +13,18 @@
 //   manager.detach("gs2");
 //   manager.remove("gs2");               // only once fully detached
 //
-// Thread-safe and contention-shy (DESIGN.md §12): the registry is sharded
-// by name hash, each shard behind a shared_mutex.  Lookups (attach, find,
-// stats, names) take one shard's reader lock; only create and remove take
-// a writer lock, and only on the one shard that owns the name — so
-// registry churn on one session never blocks another session's attach or
-// a dashboard's stats sweep.  Attach counts are atomics on a shared_ptr'd
-// record: attach/detach under the reader lock mutate the count without
-// ever excluding each other or unrelated lookups (remove's writer lock is
-// what makes its attached==0 check race-free).  Aggregation (stats_all,
-// metrics_snapshot) copies the handles out under the brief reader locks
-// and does every server call after release, so a slow exporter or a stats
-// sweep over a big session never holds the registry against create/remove
-// (Server's own accessors are wait-free against its traffic in turn).
+// Thread-safe (DESIGN.md §12): one plain mutex guards the name map and the
+// attach counts.  Aggregation (stats, stats_all, metrics_snapshot) copies
+// the records out under the lock and makes every server call after
+// releasing it, so a slow exporter or a stats sweep over a big session
+// never holds the registry against create/remove.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -101,32 +91,17 @@ class SessionManager {
   obs::RegistrySnapshot metrics_snapshot() const;
 
  private:
-  // One hosted session.  shared_ptr'd so aggregators can pin a record
-  // outside the shard lock; `attached` is atomic so attach/detach work
-  // under the reader lock.
   struct Hosted {
     std::shared_ptr<Server> server;
-    std::atomic<std::size_t> attached{0};
+    std::size_t attached = 0;
   };
 
-  static constexpr std::size_t kShardCount = 16;
-
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::map<std::string, std::shared_ptr<Hosted>> sessions;
-  };
-
-  Shard& shard_for(const std::string& name);
-  const Shard& shard_for(const std::string& name) const;
-  /// Looks the name up under the shard's reader lock; nullptr if unknown.
-  std::shared_ptr<Hosted> find_hosted(const std::string& name) const;
-  /// Pins every hosted record, name-sorted, touching each shard only
-  /// briefly under its reader lock.
-  std::vector<std::pair<std::string, std::shared_ptr<Hosted>>> pin_all()
-      const;
+  /// Copies every record, name-sorted, under the lock.
+  std::vector<std::pair<std::string, Hosted>> pin_all() const;
   static SessionStats stats_of(const std::string& name, const Hosted& hosted);
 
-  std::array<Shard, kShardCount> shards_;
+  mutable std::mutex mutex_;
+  std::map<std::string, Hosted> sessions_;
 };
 
 }  // namespace protuner::harmony

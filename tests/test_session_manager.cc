@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -86,6 +87,30 @@ TEST(SessionManager, CreateAttachDetachRemoveLifecycle) {
   // A removed session keeps working for holders of the shared_ptr.
   drive_rounds(*a, 2, 1);
   EXPECT_EQ(a->rounds_completed(), 1u);
+}
+
+TEST(SessionManager, ConcurrentOverDetachNeverWrapsTheCount) {
+  // Eight racing detaches against four attachments: exactly four succeed,
+  // the rest throw, and the count never wraps below zero (a wrapped count
+  // would make remove() throw "still has N attachment(s)").
+  SessionManager manager;
+  (void)manager.create("s", fixed(1.0), 1);
+  for (int i = 0; i < 4; ++i) (void)manager.attach("s");
+  std::atomic<int> rejected{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&manager, &rejected] {
+      try {
+        manager.detach("s");
+      } catch (const SessionError&) {
+        rejected.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(rejected.load(), 4);
+  EXPECT_EQ(manager.stats("s").attached, 0u);
+  EXPECT_TRUE(manager.remove("s"));
 }
 
 TEST(SessionManager, StatsSnapshotLiveAccounting) {
