@@ -375,9 +375,6 @@ void NetServer::handle_writable(Connection* c) { flush_out(c); }
 
 void NetServer::handle_frame(Connection* c, const Frame& f) {
   const std::uint64_t entered = obs::LatencyClock::now();
-  // A server answers in the version its peer speaks, so a v1 client never
-  // sees a trailer (or a Stats ack) it cannot decode.
-  c->peer_version = f.version;
   switch (f.type) {
     case MsgType::kAttach:
       handle_attach(c, f);
@@ -400,7 +397,7 @@ void NetServer::handle_frame(Connection* c, const Frame& f) {
       }
       c->parked.clear();
       release_entry(c);
-      append_simple(c->out, MsgType::kDetach, f.rank, {}, c->peer_version);
+      append_simple(c->out, MsgType::kDetach, f.rank, {});
       c->draining = true;  // close once the ack flushes
       return;
     case MsgType::kError:
@@ -428,8 +425,7 @@ void NetServer::handle_attach(Connection* c, const Frame& f) {
   ++sessions_[static_cast<std::size_t>(idx)].attached_conns;
   append_attach_ack(
       c->out, f.rank,
-      static_cast<std::uint32_t>(sessions_[idx].server->clients()),
-      c->peer_version);
+      static_cast<std::uint32_t>(sessions_[idx].server->clients()));
 }
 
 int NetServer::entry_index_for(std::string_view name) {
@@ -485,8 +481,7 @@ void NetServer::handle_fetch(Connection* c, const Frame& f,
     obs::TraceContext trace;
     if (e.server->try_fetch_into(f.rank, scratch_, trace)) {
       const WireTrace wt{trace.trace_id, trace.span_id};
-      append_config(c->out, f.rank, scratch_, c->peer_version,
-                    trace ? &wt : nullptr);
+      append_config(c->out, f.rank, scratch_, trace ? &wt : nullptr);
       e.fetch_wire_ns->record(wire_ns(entered));
     } else {
       park_fetch(c, f.rank, entered);
@@ -521,7 +516,7 @@ void NetServer::handle_report(Connection* c, const Frame& f,
         f.has_trace ? obs::TraceContext{f.trace.trace_id, f.trace.span_id}
                     : obs::TraceContext{});
     e.server->report(f.rank, time);
-    append_simple(c->out, MsgType::kReport, f.rank, {}, c->peer_version);
+    append_simple(c->out, MsgType::kReport, f.rank, {});
     e.report_wire_ns->record(wire_ns(entered));
   } catch (const harmony::ProtocolError& ex) {
     error_close(c, ex.what());
@@ -572,7 +567,7 @@ void NetServer::handle_stats(Connection* c, const Frame& f) {
     error_close(c, "stats: push rejected (bad instrument or series cap)");
     return;
   }
-  append_simple(c->out, MsgType::kStats, f.rank, {}, c->peer_version);
+  append_simple(c->out, MsgType::kStats, f.rank, {});
 }
 
 // ------------------------------------------------------------- HTTP scrapes
@@ -691,8 +686,7 @@ void NetServer::retry_parked(SessionEntry& e) {
         obs::TraceContext trace;
         if (e.server->try_fetch_into(pf.rank, scratch_, trace)) {
           const WireTrace wt{trace.trace_id, trace.span_id};
-          append_config(c->out, pf.rank, scratch_, c->peer_version,
-                        trace ? &wt : nullptr);
+          append_config(c->out, pf.rank, scratch_, trace ? &wt : nullptr);
           e.fetch_wire_ns->record(wire_ns(pf.entered));
         } else {
           c->parked[w++] = pf;
@@ -716,6 +710,7 @@ void NetServer::retry_parked(SessionEntry& e) {
 void NetServer::sweep_sessions(bool tick_due) {
   const auto now = std::chrono::steady_clock::now();
   for (SessionEntry& e : sessions_) {
+    if (!e.server) continue;  // no connection attached: nothing to drive
     if (tick_due) {
       try {
         e.server->tick();
@@ -805,7 +800,7 @@ void NetServer::epoll_update(Connection* c, bool want_write) {
 
 void NetServer::error_close(Connection* c, std::string_view why) {
   if (c->closed) return;
-  append_error(c->out, 0, why, c->peer_version);
+  append_error(c->out, 0, why);
   // Best-effort flush: the peer deserves the diagnostic, but a blocked
   // socket must not stall the loop — the close proceeds regardless.
   while (c->out_off < c->out.size()) {
@@ -839,6 +834,13 @@ void NetServer::release_entry(Connection* c) {
   if (c->entry < 0) return;
   SessionEntry& e = sessions_[static_cast<std::size_t>(c->entry)];
   if (e.attached_conns > 0) --e.attached_conns;
+  if (e.attached_conns == 0) {
+    // Nobody drives the session now: a stall episode ends with its last
+    // connection, and the entry lets go of the server so a later remove()
+    // frees it.  The next attach rebinds (entry_index_for).
+    e.stalled = false;
+    e.server.reset();
+  }
   try {
     manager_.detach(e.name);
   } catch (const harmony::SessionError&) {
@@ -863,7 +865,6 @@ void NetServer::destroy_pending() {
     c->peer_gone = false;
     c->want_write = false;
     c->mode = kModeUnknown;
-    c->peer_version = kWireVersion;
     c->in_used = 0;
     c->out.clear();
     c->out_off = 0;

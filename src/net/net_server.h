@@ -176,7 +176,8 @@ class NetServer {
 
   struct Connection;
 
-  // One hosted session as seen by the loop: the pinned server handle, its
+  // One hosted session as seen by the loop: the server handle (pinned
+  // while a connection is attached, released with the last one), its
   // wire-latency instruments (resolved when the entry binds a server), the
   // parked list and the round counter watermark that triggers its retry
   // sweep.
@@ -200,8 +201,7 @@ class NetServer {
     bool peer_gone = false;     ///< send failed: replies dropped, reads go on
     bool want_write = false;    ///< EPOLLOUT armed
     bool in_parked_list = false;
-    std::uint8_t mode = kModeUnknown;        ///< frames vs HTTP demux
-    std::uint8_t peer_version = kWireVersion;  ///< replies match the peer
+    std::uint8_t mode = kModeUnknown;  ///< frames vs HTTP demux
     int entry = -1;             ///< index into sessions_ once attached
     std::size_t stats_series = 0;  ///< registry series minted by its pushes
     std::vector<std::uint8_t> in;

@@ -149,10 +149,10 @@ TEST(NetFrame, RejectsGarbageTypeVersionAndSessionOverrun) {
 TEST(NetFrame, TraceTrailerRoundTripsOnEveryTracedEncoder) {
   const net::WireTrace trace{0x1122334455667788ull, 0x99AABBCCDDEEFF00ull};
   std::vector<std::uint8_t> buf;
-  net::append_simple(buf, MsgType::kFetch, 2, "t", net::kWireVersion, &trace);
-  net::append_report(buf, 3, {}, 1.5, net::kWireVersion, &trace);
+  net::append_simple(buf, MsgType::kFetch, 2, "t", &trace);
+  net::append_report(buf, 3, {}, 1.5, &trace);
   core::Point cfg{2.0, 4.0};
-  net::append_config(buf, 4, cfg, net::kWireVersion, &trace);
+  net::append_config(buf, 4, cfg, &trace);
   net::append_simple(buf, MsgType::kDetach, 5, {});  // untraced control
 
   std::size_t off = 0;
@@ -164,7 +164,6 @@ TEST(NetFrame, TraceTrailerRoundTripsOnEveryTracedEncoder) {
   };
   for (int i = 0; i < 3; ++i) {
     const net::Frame f = next();
-    EXPECT_EQ(f.version, 2);
     ASSERT_TRUE(f.has_trace) << "frame " << i;
     EXPECT_EQ(f.trace.trace_id, trace.trace_id);
     EXPECT_EQ(f.trace.span_id, trace.span_id);
@@ -186,48 +185,26 @@ TEST(NetFrame, TraceTrailerRoundTripsOnEveryTracedEncoder) {
 
   // Truncation with a trailer present still never errors mid-frame.
   std::vector<std::uint8_t> one;
-  net::append_report(one, 1, "s", 2.0, net::kWireVersion, &trace);
+  net::append_report(one, 1, "s", 2.0, &trace);
   for (std::size_t len = 0; len < one.size(); ++len) {
     EXPECT_EQ(net::decode_frame({one.data(), len}).status,
               DecodeStatus::kNeedMore);
   }
 }
 
-TEST(NetFrame, Version1FramesStillDecodeWithoutTrailers) {
-  // A PR-9 peer's bytes: version 1, types 1..5, no trailer bit.
-  std::vector<std::uint8_t> buf;
-  net::append_simple(buf, MsgType::kAttach, 7, "legacy", 1);
-  net::append_report(buf, 7, {}, 3.25, 1);
-  std::size_t off = 0;
-  for (int i = 0; i < 2; ++i) {
-    const Decoded d = net::decode_frame({buf.data() + off, buf.size() - off});
-    ASSERT_EQ(d.status, DecodeStatus::kFrame);
-    EXPECT_EQ(d.frame.version, 1);
-    EXPECT_FALSE(d.frame.has_trace);
-    off += d.consumed;
+TEST(NetFrame, Version1FramesAreRejected) {
+  // The retired version-1 format (types 1..5, no trailer) is the current
+  // layout with a different version byte; the decoder refuses it whole,
+  // whatever the type, so a v1 peer gets an Error frame, not a session.
+  for (const std::uint8_t type : {std::uint8_t{1}, std::uint8_t{3},
+                                  std::uint8_t{0x80 | 2}, std::uint8_t{6}}) {
+    std::vector<std::uint8_t> v1 = attach_frame("legacy", 7);
+    v1[4] = 1;
+    v1[5] = type;
+    const Decoded d = net::decode_frame({v1.data(), v1.size()});
+    EXPECT_EQ(d.status, DecodeStatus::kBadFrame) << int{type};
+    EXPECT_EQ(d.error, "unsupported wire version") << int{type};
   }
-  EXPECT_EQ(off, buf.size());
-
-  // The encoders drop a trailer requested for a v1 frame (old peers would
-  // misparse it as body bytes), and v1 rejects both the trailer bit and
-  // the Stats type — they are v2 vocabulary.
-  const net::WireTrace trace{1, 2};
-  std::vector<std::uint8_t> v1traced;
-  net::append_simple(v1traced, MsgType::kFetch, 0, {}, 1, &trace);
-  const Decoded d = net::decode_frame({v1traced.data(), v1traced.size()});
-  ASSERT_EQ(d.status, DecodeStatus::kFrame);
-  EXPECT_FALSE(d.frame.has_trace);
-
-  std::vector<std::uint8_t> bad = attach_frame("abc", 1);
-  bad[4] = 1;             // version 1 ...
-  bad[5] = 0x80 | 2;      // ... may not set the trailer bit
-  EXPECT_EQ(net::decode_frame({bad.data(), bad.size()}).status,
-            DecodeStatus::kBadFrame);
-  bad = attach_frame("abc", 1);
-  bad[4] = 1;
-  bad[5] = 6;             // kStats does not exist in v1
-  EXPECT_EQ(net::decode_frame({bad.data(), bad.size()}).status,
-            DecodeStatus::kBadFrame);
 }
 
 TEST(NetFrame, StatsBodyRoundTripsThroughTheCodec) {

@@ -248,6 +248,18 @@ TEST(NetHttp, HealthzTurns503WhileASessionIsStalled) {
   const std::string page = body_of(http_get(fx.server->port(), "/metrics"));
   EXPECT_NE(page.find("protuner_stall_dumps_total"), std::string::npos);
   client.close();
+
+  // The stall episode ends with the session's last connection: nobody is
+  // left driving it, so /healthz recovers instead of answering 503 forever.
+  const auto recovery = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(1);
+  do {
+    health = http_get(fx.server->port(), "/healthz");
+    if (health.find("200") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  } while (std::chrono::steady_clock::now() < recovery);
+  EXPECT_EQ(health.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << health;
+  EXPECT_EQ(body_of(health), "ok\n");
 }
 
 TEST(NetHttp, ScrapesCoexistWithFrameTraffic) {

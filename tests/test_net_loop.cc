@@ -22,6 +22,7 @@
 #include <netinet/in.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -31,6 +32,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -356,47 +358,6 @@ TEST_P(NetLoopTransport, WireTelemetryIsVisibleThroughObs) {
   EXPECT_NE(page.find("session=\"observed\""), std::string::npos);
 }
 
-TEST_P(NetLoopTransport, Version1ClientInteroperatesWithTheV2Server) {
-  // A PR-9 peer: wire version 1, no trace trailers, no Stats push.  The v2
-  // server must speak v1 back to it for a complete attach → fetch → report
-  // → detach lifecycle, with reports pipelined as in v2.
-  LoopFixture fx(GetParam());
-  auto hosted = fx.host("legacy", 2);
-  obs::Registry client_registry;
-  net::ClientOptions co = fx.client_options();
-  co.wire_version = 1;
-  co.metrics = &client_registry;
-  net::HarmonyClient old_client(co);
-  EXPECT_EQ(old_client.attach("legacy", 0), 2u);
-  net::HarmonyClient new_client(fx.client_options());
-  new_client.attach("legacy", 1);
-  Point cfg;
-  constexpr std::size_t kRounds = 10;
-  for (std::size_t k = 0; k < kRounds; ++k) {
-    old_client.fetch_into(0, cfg);
-    EXPECT_EQ(cfg, (Point{1.0, 2.0}));
-    new_client.fetch_into(1, cfg);
-    old_client.report(0, 1.0);
-    new_client.report(1, 2.0);
-  }
-  old_client.detach(0);  // v1: the detach ships no stats frame
-  new_client.detach(1);
-  EXPECT_EQ(hosted->rounds_completed(), kRounds);
-  EXPECT_EQ(fx.server->decode_errors(), 0u);
-  // Nothing was merged for the v1 client: no {client="0"} series appeared.
-  for (const obs::InstrumentSnapshot& inst : fx.registry.snapshot().instruments) {
-    for (const auto& [k, v] : inst.labels) {
-      EXPECT_FALSE(k == "client" && v == "0") << inst.name;
-    }
-  }
-
-  // A rejected pipelined report surfaces at the v1 client's next call too.
-  net::HarmonyClient misuser(co);
-  misuser.attach("legacy", 0);
-  misuser.report(0, 1.0);  // no outstanding fetch
-  EXPECT_THROW(misuser.fetch_into(0, cfg), harmony::ProtocolError);
-}
-
 const obs::InstrumentSnapshot* find_with_client_label(
     const obs::RegistrySnapshot& snap, std::string_view name,
     std::string_view client) {
@@ -460,16 +421,20 @@ TEST(NetLoop, ClientStatsPushMergesUnderTheClientLabel) {
 
 struct LastFrame {
   net::MsgType type = net::MsgType::kAttach;
-  std::uint8_t version = 0;
+  std::string body;  ///< the frame's body (an Error frame's message)
+  bool eof = false;  ///< the server closed the connection after it
 };
 
 // Raw-socket driver for hostile-client tests: sends `wire` verbatim, reads
-// to EOF, and returns the last reply frame's type and version (the server
-// closes after an Error, so that is what a contained failure ends with).
+// until the server closes (or 5 s pass), and returns the last reply frame
+// (the server closes after an Error, so that is what a contained failure
+// ends with).
 LastFrame drive_raw(const LoopFixture& fx,
                     const std::vector<std::uint8_t>& wire) {
   const int fd = fx.connect_raw();
   EXPECT_GE(fd, 0);
+  const timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   std::size_t sent = 0;
   while (sent < wire.size()) {
     const ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
@@ -479,19 +444,21 @@ LastFrame drive_raw(const LoopFixture& fx,
   }
   std::vector<std::uint8_t> reply(1 << 16);
   std::size_t got = 0;
+  LastFrame last;
   for (;;) {
     const ssize_t n = ::recv(fd, reply.data() + got, reply.size() - got, 0);
+    last.eof = n == 0;
     if (n <= 0) break;
     got += static_cast<std::size_t>(n);
   }
   ::close(fd);
-  LastFrame last;
   bool any = false;
   std::size_t off = 0;
   for (;;) {
     const net::Decoded d = net::decode_frame({reply.data() + off, got - off});
     if (d.status != net::DecodeStatus::kFrame) break;
-    last = {d.frame.type, d.frame.version};
+    last.type = d.frame.type;
+    last.body.assign(d.frame.body.begin(), d.frame.body.end());
     any = true;
     off += d.consumed;
   }
@@ -508,19 +475,28 @@ std::vector<std::uint8_t> stats_frame(const obs::RegistrySnapshot& snap) {
   return frame;
 }
 
-TEST_P(NetLoopTransport, ErrorFrameAnswersInThePeersWireVersion) {
-  // A version-1 decoder rejects version byte 2, so an Error frame sent to
-  // a v1 peer must be v1 too, or the peer reports "malformed frame"
-  // instead of the diagnostic.
+TEST_P(NetLoopTransport, Version1AttachGetsAnErrorFrameAndAClose) {
+  // Wire version 1 is retired: a v1 Attach is a bad frame like any other
+  // wrong version byte.  The peer gets the diagnostic and a closed
+  // connection; the session it named is untouched.
   LoopFixture fx(GetParam());
-  fx.host("old-misuse", 1);
-  for (const std::uint8_t version : {std::uint8_t{1}, net::kWireVersion}) {
-    std::vector<std::uint8_t> wire;
-    net::append_simple(wire, net::MsgType::kFetch, 0, {}, version);
-    const LastFrame last = drive_raw(fx, wire);  // fetch before attach
-    EXPECT_EQ(last.type, net::MsgType::kError);
-    EXPECT_EQ(last.version, version);
-  }
+  auto hosted = fx.host("legacy", 1);
+  std::vector<std::uint8_t> wire;
+  net::append_simple(wire, net::MsgType::kAttach, 0, "legacy");
+  wire[4] = 1;  // the version byte
+  const LastFrame last = drive_raw(fx, wire);
+  EXPECT_EQ(last.type, net::MsgType::kError);
+  EXPECT_EQ(last.body, "unsupported wire version");
+  EXPECT_TRUE(last.eof);
+  EXPECT_EQ(fx.server->decode_errors(), 1u);
+
+  net::HarmonyClient client(fx.client_options());
+  EXPECT_EQ(client.attach("legacy", 0), 1u);
+  Point cfg;
+  client.fetch_into(0, cfg);
+  client.report(0, 1.0);
+  client.detach(0);
+  EXPECT_EQ(hosted->rounds_completed(), 1u);
 }
 
 TEST_P(NetLoopTransport, KindMismatchStatsPushClosesTheConnectionNotTheServer) {
@@ -913,6 +889,17 @@ TEST(NetLoop, RemoveRightAfterDetachNeverSeesTheAttachment) {
       ADD_FAILURE() << ex.what();
     }
   }
+}
+
+TEST(NetLoop, RemovedSessionsServerIsFreedAfterItsLastDetach) {
+  // The loop keeps a session's entry after the last connection leaves, but
+  // not its server: once the session is removed, nothing pins the Server
+  // and the loop stops ticking it.
+  LoopFixture fx;
+  const std::weak_ptr<harmony::Server> weak = fx.host("ephemeral", 1);
+  drive_rounds(fx, "ephemeral", 2);
+  ASSERT_TRUE(fx.manager.remove("ephemeral"));
+  EXPECT_TRUE(eventually([&weak] { return weak.expired(); }));
 }
 
 TEST(NetLoop, RecreatedSessionNameResolvesToTheNewServer) {

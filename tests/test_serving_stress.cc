@@ -46,7 +46,7 @@ TEST(ServingStress, RegistryChurnWhileRanksFetchAndReport) {
   // create/attach/detach/remove ephemeral sessions and an exporter sweeps
   // aggregate views.  Everything must run to completion with the traffic
   // sessions' accounting intact — under TSan this is also the data-race
-  // proof for the sharded registry + lock-free collecting phase.
+  // proof for the session registry + lock-free collecting phase.
   constexpr std::size_t kRanks = 4;
   constexpr std::size_t kRounds = 150;
   constexpr int kChurnThreads = 2;
@@ -184,8 +184,8 @@ TEST(ServingStress, SlowExporterNeverHoldsRegistryAgainstChurn) {
 
 TEST(ServingStress, TickFrequencyDoesNotPerturbFetchPath) {
   // Server::tick() is deadline enforcement: with the deadline far away it
-  // must return after two atomic loads, never touching the collecting
-  // gate.  Drive identical soaks with no ticker and with an aggressive
+  // takes mutex_ and returns after a few loads and at most one clock
+  // read, never touching the collecting gate.  Drive identical soaks with no ticker and with an aggressive
   // 4 kHz ticker; semantics must be identical (same rounds, no expiries,
   // no discards) and the fetch latency distribution must not shift by
   // more than scheduler noise.  Bounds are deliberately generous — the

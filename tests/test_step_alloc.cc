@@ -183,8 +183,8 @@ TEST(StepAllocation, ServingFetchReportPathIsAllocationFree) {
   // The serving hot path: once a Server's double buffers, rank states and
   // latency instruments are warm, fetch_into + report — including the
   // inline round close, strategy re-proposal and next-round publication —
-  // must never touch the heap.  This is what lets the sharded server run
-  // at memory-bandwidth speeds instead of malloc-lock speeds under load.
+  // must never touch the heap.  This is what lets the server run at
+  // memory-bandwidth speeds instead of malloc-lock speeds under load.
   obs::Registry registry;
   obs::FlightRecorder flight(1024);  // armed: every round records two events
   harmony::ServerOptions so;
