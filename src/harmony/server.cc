@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <thread>
@@ -357,6 +358,33 @@ bool Server::fetch_fast(std::size_t rank, core::Point& out,
   return false;
 }
 
+bool Server::poll_fetch(std::size_t rank, core::Point& out,
+                        std::uint64_t entered) {
+  // Waking a thread parked on round_ready_ costs several µs on a VM, as
+  // much as the round close it waits for, so the wait first polls.  Yielding between
+  // tries hands the CPU to any runnable thread, which on an oversubscribed
+  // host may be the closer the round waits on; the budget follows how soon
+  // rounds have been opening, so a rank whose rounds open late stops
+  // paying for the poll.
+  RankState& rs = ranks_[rank];
+  if (round_.load(std::memory_order_acquire) >= rs.round) return false;
+  const std::uint64_t start = obs::LatencyClock::now();
+  for (;;) {
+    std::this_thread::yield();
+    if (failed_.load(std::memory_order_acquire)) return false;
+    const double waited =
+        obs::LatencyClock::to_ns(obs::LatencyClock::now() - start);
+    if (round_.load(std::memory_order_acquire) >= rs.round) {
+      rs.poll_ns = std::min(kPollCapNs, std::max(rs.poll_ns, 2 * waited));
+      return fetch_fast(rank, out, entered);
+    }
+    if (waited >= rs.poll_ns) {
+      rs.poll_ns = std::max(kPollFloorNs, rs.poll_ns / 2);
+      return false;
+    }
+  }
+}
+
 bool Server::serve_locked(std::size_t rank, core::Point& out,
                           std::uint64_t entered) {
   throw_if_failed_locked();
@@ -391,7 +419,7 @@ void Server::fetch_into(std::size_t rank, core::Point& out) {
   obs::ScopedSpan span(obs::Tracer::global(), "harmony/fetch");
   const std::uint64_t entered = obs::LatencyClock::now();
   check_fetch_rank(rank);
-  if (!fetch_fast(rank, out, entered)) {
+  if (!fetch_fast(rank, out, entered) && !poll_fetch(rank, out, entered)) {
     std::unique_lock lock(mutex_);
     while (!serve_locked(rank, out, entered)) {
       if (!deadline_enabled()) {

@@ -15,8 +15,8 @@
 // open round's assignment and per-slot completion state live in a
 // double-buffered RoundBuffer published with release/acquire ordering on the
 // round counter; a fetch for the open round and a report that is not the
-// round's last touch only per-slot atomics and a reader-count gate, so
-// distinct ranks never serialize on a mutex.  Everything else — the
+// round's last touch only per-slot atomics, a reader-count gate and (a
+// report) the pending count, so distinct ranks never serialize on a mutex.  Everything else — the
 // round-advance barrier (the last report or a deadline sweep), blocked
 // fetch waiters, rank re-entry, tick() and the accounting accessors — takes
 // the one plain mutex.  Latency telemetry stamps with obs::LatencyClock
@@ -30,9 +30,16 @@
 // straggler is handled per StragglerPolicy: kShrink drops it from future
 // rounds (it may re-enter by calling fetch again), kFail poisons the
 // session so every subsequent call throws.  The deadline is enforced by
-// ranks blocked in fetch() waiting for the next round, or externally via
-// tick() for drivers that never block; tick() never blocks in-flight
-// fetch/report fast paths.
+// ranks blocked in fetch() waiting for the next round (after the bounded
+// poll that precedes the block, at most 50 µs), or externally via tick()
+// for drivers that never block; tick() never blocks in-flight fetch/report
+// fast paths.
+//
+// The poll rereads the round counter, yielding between tries, for a
+// per-rank budget that adapts to how soon rounds have been opening
+// (1–50 µs).  Every word more than one thread writes during Collecting,
+// and every word every call reads, sits on a cache line of its own
+// (DESIGN.md §12, "Wait policy").
 //
 // Protocol violations — out-of-range rank, double fetch, report without a
 // fetch — are hard errors (ProtocolError), never silent misbehavior or
@@ -217,18 +224,22 @@ class Server {
   // successor.
   //
   // The gate is a reader-count word, not a shared_mutex: entry and exit
-  // are one uncontended RMW each (~5ns vs ~25ns per pthread rwlock op),
-  // and because every entry is an RMW on the same word, the recycler's
-  // CAS 0 → kGateLocked atomically drains current readers and bounces
-  // future ones (a reader that observes a negative count backs out to the
-  // slow path without touching the buffer).  The recycler runs once per
-  // round under mutex_ and spin-yields for the nanosecond-scale read
-  // holds, so writer-side waiting is not on any hot path.
+  // are one RMW each (~5ns alone vs ~25ns per pthread rwlock op), and
+  // because every entry is an RMW on the same word, the recycler's CAS
+  // 0 → kGateLocked atomically drains current readers and bounces future
+  // ones (a reader that observes a negative count backs out to the slow
+  // path without touching the buffer).  Every serving thread RMWs the gate
+  // of the open round, so the word is contended: it and `pending` each own
+  // a cache line, and neither shares one with round_/failed_, which every
+  // call reads.  The recycler runs once per round under mutex_ and
+  // spin-yields for the nanosecond-scale read holds, so writer-side
+  // waiting is not on any hot path.
   struct RoundBuffer {
-    std::atomic<std::int32_t> gate{0};
+    alignas(64) std::atomic<std::int32_t> gate{0};
     std::vector<core::Point> assignment;  ///< one configuration per rank
     std::unique_ptr<Slot[]> slots;        ///< clients_ entries
-    std::atomic<std::size_t> pending{0};  ///< expected slots not yet claimed
+    /// Expected slots not yet claimed.
+    alignas(64) std::atomic<std::size_t> pending{0};
   };
 
   static constexpr std::int32_t kGateLocked =
@@ -251,12 +262,22 @@ class Server {
     buf.gate.fetch_sub(kGateLocked, std::memory_order_release);
   }
 
+  /// Bounds of the next-round poll's budget.  The cap is well above a
+  /// round close and well below a scheduler slice; the floor keeps one
+  /// cheap retry ahead of every blocking wait.
+  static constexpr double kPollCapNs = 50'000;
+  static constexpr double kPollFloorNs = 1'000;
+
   // Per-rank protocol state.  Owned by the rank: the caller orders one
   // rank's fetch/report calls, so no atomics are needed; padding keeps
   // neighbouring ranks off each other's cache line.
   struct alignas(64) RankState {
     std::uint64_t round = 0;  ///< round this rank works on next
     bool fetched = false;     ///< rank holds an unreported assignment
+    /// Next-round poll budget (ns): a round that opens t ns into the poll
+    /// raises it to 2t (up to the cap); a poll that runs out halves it
+    /// (down to the floor).
+    double poll_ns = kPollCapNs;
   };
 
   void throw_if_failed_locked() const;
@@ -278,6 +299,10 @@ class Server {
   /// gate; false when the caller must take the slow (mutex) path.
   /// `entered` is the obs::LatencyClock stamp taken at fetch entry.
   bool fetch_fast(std::size_t rank, core::Point& out, std::uint64_t entered);
+  /// fetch_into's wait before it blocks: while the rank's round has not
+  /// opened, polls round_ within the rank's budget, then retries
+  /// fetch_fast.  False when the caller must take the locked path.
+  bool poll_fetch(std::size_t rank, core::Point& out, std::uint64_t entered);
   /// Slow fetch path under mutex_: serves the rank if its round is open and
   /// returns true; otherwise re-enters a dropped or overtaken rank at the
   /// next round and returns false (the caller waits or retries).
@@ -301,15 +326,18 @@ class Server {
   const std::uint64_t trace_seed_;  ///< per-server entropy for round ids
 
   // ------------------------------------------------ contention-free state
+  // Line layout: round_ and failed_, read by every call, share one line
+  // that only the closer writes; the RMW-heavy buffer words, the rank
+  // table and the mutex each start a line of their own.
   RoundBuffer buffers_[2];
-  std::atomic<std::uint64_t> round_{0};  ///< index of the open round
+  alignas(64) std::atomic<std::uint64_t> round_{0};  ///< the open round
   std::atomic<bool> failed_{false};
-  std::vector<RankState> ranks_;
+  alignas(64) std::vector<RankState> ranks_;
 
   // -------------------------------------------- round-advance barrier lock
   // Guards the engine, the strategy, the deadline clock and the failure
   // string.  Taken by everything except the Collecting-phase fast path.
-  mutable std::mutex mutex_;
+  alignas(64) mutable std::mutex mutex_;
   std::condition_variable round_ready_;
   core::RoundEngine engine_;
   std::chrono::steady_clock::time_point round_opened_;

@@ -2,11 +2,13 @@
 // semantics, concurrent multi-session serving, protocol violations as hard
 // errors, deadline-driven straggler handling and rank re-entry.
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -288,6 +290,63 @@ TEST(Server, FailPolicyPoisonsTheSession) {
   EXPECT_THROW((void)server.fetch(0), ProtocolError);
   EXPECT_THROW(server.report(1, 2.0), ProtocolError);
   EXPECT_THROW((void)server.fetch(0), ProtocolError);
+}
+
+// ------------------------------------------------------------ round wait
+
+/// Assigns every rank Point{k} in round k, so a fetch shows which round
+/// served it.
+class RoundIndexStrategy final : public core::TuningStrategy {
+ public:
+  void start(std::size_t ranks) override { ranks_ = ranks; }
+  core::StepProposal propose() override {
+    core::StepProposal p;
+    p.configs.assign(ranks_, Point{static_cast<double>(round_)});
+    return p;
+  }
+  void observe(std::span<const double>) override {
+    ++round_;
+    best_ = Point{static_cast<double>(round_)};
+  }
+  const Point& best_point() const override { return best_; }
+  double best_estimate() const override { return 0.0; }
+  bool converged() const override { return false; }
+  std::string name() const override { return "RoundIndex"; }
+
+ private:
+  std::size_t ranks_ = 1;
+  std::size_t round_ = 0;
+  Point best_{0.0};
+};
+
+std::chrono::nanoseconds thread_cpu_time() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
+}
+
+TEST(Server, WaitPastThePollBudgetBlocksInsteadOfSpinning) {
+  // fetch() polls for the next round only within a µs-scale budget; a round
+  // that opens 200 ms later must find the waiter asleep, not burning CPU.
+  Server server(std::make_unique<RoundIndexStrategy>(), 2);
+  EXPECT_EQ(server.fetch(0), Point{0.0});
+  EXPECT_EQ(server.fetch(1), Point{0.0});
+  server.report(0, 1.0);
+
+  Point next;
+  std::chrono::nanoseconds cpu{0};
+  std::jthread waiter([&] {
+    const auto before = thread_cpu_time();
+    server.fetch_into(0, next);
+    cpu = thread_cpu_time() - before;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  server.report(1, 1.0);  // closes round 0 and opens round 1
+  waiter.join();
+
+  EXPECT_EQ(next, Point{1.0});
+  EXPECT_LT(cpu, std::chrono::milliseconds(20))
+      << "the waiting fetch spun for " << cpu.count() << " ns of CPU";
 }
 
 // ------------------------------------------------------- observer fan-out
