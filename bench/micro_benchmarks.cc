@@ -155,8 +155,8 @@ void BM_DatabaseInterpolate_Indexed(benchmark::State& state) {
 }
 BENCHMARK(BM_DatabaseInterpolate_Indexed)->Arg(0)->Arg(1);
 
-// Cold-start cost of one index build (measure/load pay this once; insert
-// pays it on the next lookup) — context for the per-miss wins above.
+// Cold-start cost of one index build (the Database constructor pays it once,
+// inside measure/load) — context for the per-miss wins above.
 void BM_DatabaseIndexBuild(benchmark::State& state) {
   const gs2::Database db = state.range(0) == 0 ? make_gs2_db()
                                                : make_large_db();

@@ -8,7 +8,8 @@
 #            suite (kept as a matrix leg; there is no separate scalar path)
 #   tsan     ThreadSanitizer build, tier1-tsan labelled tests
 #
-# then the end-to-end benchmark's own tests (perfbench ledger and compare
+# then the shootout and harness-output pins (default build only), then
+# the end-to-end benchmark's own tests (perfbench ledger and compare
 # logic; builds into .bench_build on first use).
 #
 # Usage: ./ci.sh            (from the repository root)
@@ -23,6 +24,10 @@ echo "==== tuning_shootout --smoke ===="
 # The default build reproduces the committed file byte for byte: every
 # strategy x landscape x noise cell pins the deterministic evaluation path.
 cmp build/BENCH_shootout.json BENCH_shootout.json
+echo "==== harness digests ===="
+# The 16 figure/ablation/extension harnesses at REPRO_REPS=4, pinned by
+# digest: any change to their output bytes fails here.
+bench/harness_digests.sh build | diff bench/harness_digests.txt -
 echo "==== perfbench selftest ===="
 python3 perfbench/run.py --selftest
 echo "==== verify matrix green ===="

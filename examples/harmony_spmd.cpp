@@ -97,7 +97,11 @@ int main(int argc, char** argv) {
 
       client.report(t);
 
-      if (comm.rank() == 0 && (step + 1) % 30 == 0) {
+      if ((step + 1) % 30 == 0) {
+        // Every rank's report has returned once all pass this barrier, so
+        // the round has closed and rank 0 reads the server's settled totals.
+        comm.barrier();
+        if (comm.rank() != 0) continue;
         const std::scoped_lock lock(log_mutex);
         std::printf("step %3d: T_k=%6.3f  cumulative=%8.2f  converged=%s\n",
                     step + 1, step_cost, server.total_time(),

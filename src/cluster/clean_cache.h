@@ -5,9 +5,9 @@
 // the batched landscape lookup — the per-step cost that remains after the
 // indexed database work — is redundant whenever the assignment repeats.
 // CleanTimeCache keeps a flattened (SoA) copy of the last batch plus its
-// clean times and replays them when the incoming batch matches, guarded by
-// core::Landscape::version() so a mutated substrate (gs2::Database::insert)
-// forces a recompute.
+// clean times and replays them when the incoming batch matches.  Replay is
+// sound because a core::Landscape never changes once built, and each
+// evaluator keeps one landscape for life, so nothing invalidates the cache.
 //
 // The cache also owns the release-mode positivity check: every clean time
 // is validated once per recompute (not per step), so a bad landscape can't
@@ -31,10 +31,11 @@ namespace protuner::cluster {
 class CleanTimeCache {
  public:
   /// Makes clean() valid for `configs`: replays the cached times when the
-  /// batch is identical to the previous call (same configs, same landscape
-  /// version), otherwise recomputes through landscape.clean_times() and
-  /// validates positivity.  Throws std::domain_error on a non-positive
-  /// clean time.  Returns true on a cache hit (no landscape call).
+  /// batch is identical to the previous call, otherwise recomputes through
+  /// landscape.clean_times() and validates positivity.  Throws
+  /// std::domain_error on a non-positive clean time.  Returns true on a
+  /// cache hit (no landscape call).  `landscape` must be the same object
+  /// on every call.
   bool refresh(const core::Landscape& landscape,
                std::span<const core::Point> configs);
 
@@ -43,13 +44,9 @@ class CleanTimeCache {
     return {clean_.data(), clean_.size()};
   }
 
-  /// Drops the cached batch (e.g. after swapping landscapes).
-  void invalidate() { valid_ = false; }
-
  private:
-  bool matches(std::span<const core::Point> configs,
-               std::uint64_t version) const;
-  void store(std::span<const core::Point> configs, std::uint64_t version);
+  bool matches(std::span<const core::Point> configs) const;
+  void store(std::span<const core::Point> configs);
 
   // SoA snapshot of the last batch: all coordinates concatenated plus each
   // config's offset — flat buffers so the compare is a linear scan and the
@@ -57,7 +54,6 @@ class CleanTimeCache {
   std::vector<double> coords_;
   std::vector<std::uint32_t> sizes_;
   std::vector<double> clean_;
-  std::uint64_t version_ = 0;
   bool valid_ = false;
 };
 

@@ -4,7 +4,6 @@
 // against a measured database or a synthetic surface plus a noise model.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -17,6 +16,11 @@ namespace protuner::core {
 /// Deterministic mapping from configuration to idle-system runtime per
 /// application iteration.  Implementations: gs2::Database, the synthetic
 /// test surfaces below, or any user lambda via FunctionLandscape.
+///
+/// A Landscape never changes once built: the same x always yields the same
+/// clean time.  Evaluators rely on this to replay the last step's clean
+/// times when the assignment repeats (cluster::CleanTimeCache) — the
+/// dominant shape of a converged tuning loop.
 class Landscape {
  public:
   virtual ~Landscape() = default;
@@ -32,13 +36,6 @@ class Landscape {
   /// and is always equivalent.  `out.size()` must equal `xs.size()`.
   virtual void clean_times(std::span<const Point> xs,
                            std::span<double> out) const;
-
-  /// Mutation counter: changes whenever clean_time() results may change.
-  /// Immutable landscapes (everything here except gs2::Database, which can
-  /// absorb new measurements) keep the default constant 0.  Evaluators use
-  /// it to reuse clean times across steps when the assignment repeats —
-  /// the dominant shape of a converged tuning loop.
-  virtual std::uint64_t version() const { return 0; }
 
   virtual std::string name() const = 0;
 };

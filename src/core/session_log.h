@@ -3,9 +3,8 @@
 //
 // Both observers forward every callback to an optional chained
 // SessionObserver, so a single observer slot (SessionOptions::observer,
-// harmony::ServerOptions::observer) can carry CSV logging and telemetry
-// (obs::ObservingSessionObserver) at the same time instead of one silently
-// displacing the other.
+// harmony::ServerOptions::observer) can carry both at the same time instead
+// of one silently displacing the other.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "gs2/database.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -124,14 +125,6 @@ struct Database::FlatMap {
     }
   }
 
-  void clear() {
-    for (Slot& s : slots) {
-      s.hash = 0;
-      s.key.clear();
-    }
-    count = 0;
-  }
-
  private:
   void grow() {
     std::vector<Slot> old = std::move(slots);
@@ -149,18 +142,14 @@ struct Database::FlatMap {
 };
 
 // ---------------------------------------------------------------------------
-// Sharded memo cache.  See the invalidation discussion in database.h: shard
-// assignment is by hash, so one insert can affect entries in every shard —
-// a full clear is semantically required, and is made O(1) by bumping
-// `epoch`; shards lazily reset themselves on next touch.
+// Sharded memo cache, keyed by point hash.  Entries are never evicted: the
+// table is immutable, so an interpolated value stays valid.
 struct Database::Cache {
   static constexpr std::size_t kShards = 16;
   struct Shard {
     mutable std::shared_mutex mutex;
-    std::uint64_t epoch = 0;
     FlatMap map;
   };
-  std::atomic<std::uint64_t> epoch{0};
   std::array<Shard, kShards> shards;
 
   Shard& shard(std::uint64_t h) { return shards[h % kShards]; }
@@ -168,8 +157,8 @@ struct Database::Cache {
 
 // ---------------------------------------------------------------------------
 // Spatial index: SoA storage of the table (tree order), a median-split k-d
-// tree over it, and an open-addressing exact-hit table.  Built once per
-// table revision; immutable afterwards, so concurrent lookups need no
+// tree over it, and an open-addressing exact-hit table.  Built once by the
+// Database constructor; immutable afterwards, so concurrent lookups need no
 // locking.
 //
 // Exactness contract: the k-NN selection and the per-neighbour distances
@@ -290,6 +279,11 @@ struct Database::Index {
     }
   }
 
+  /// Builds the index over every entry of `table`.
+  static std::unique_ptr<const Index> build(
+      const core::ParameterSpace& space,
+      const std::map<core::Point, double>& table);
+
   /// Recursive median-split builder over rows[b, e); returns the node id.
   static std::uint32_t build_node(Index& idx, std::vector<std::uint32_t>& rows,
                                   const std::vector<double>& rp,
@@ -353,38 +347,29 @@ std::uint32_t Database::Index::build_node(Index& idx,
   return id;
 }
 
-Database::Database(core::ParameterSpace space, DatabaseOptions options)
+Database::Database(core::ParameterSpace space, DatabaseOptions options,
+                   std::map<core::Point, double> table)
     : space_(std::move(space)),
       options_(options),
+      table_(std::move(table)),
       cache_(std::make_unique<Cache>()) {
   assert(options_.interpolation_neighbors >= 1);
   assert(options_.idw_power > 0.0);
-}
-
-Database::Database(Database&& other) noexcept
-    : space_(std::move(other.space_)),
-      options_(other.options_),
-      table_(std::move(other.table_)),
-      index_(std::move(other.index_)),
-      index_ptr_(other.index_ptr_.load(std::memory_order_acquire)),
-      cache_(std::move(other.cache_)) {
-  other.index_ptr_.store(nullptr, std::memory_order_release);
-}
-
-Database& Database::operator=(Database&& other) noexcept {
-  if (this != &other) {
-    space_ = std::move(other.space_);
-    options_ = other.options_;
-    table_ = std::move(other.table_);
-    index_ = std::move(other.index_);
-    index_ptr_.store(other.index_ptr_.load(std::memory_order_acquire),
-                     std::memory_order_release);
-    cache_ = std::move(other.cache_);
-    other.index_ptr_.store(nullptr, std::memory_order_release);
+  // Checked in every build: load() hands file rows to this constructor, and
+  // a key longer than space.size() would make the index build write past
+  // its coordinate buffer.
+  for (const auto& [x, time] : table_) {
+    if (x.size() != space_.size() || !(time > 0.0)) {
+      throw std::invalid_argument(
+          "gs2::Database: each entry needs one coordinate per parameter and "
+          "a positive time");
+    }
   }
-  return *this;
+  index_ = Index::build(space_, table_);
 }
 
+Database::Database(Database&&) noexcept = default;
+Database& Database::operator=(Database&&) noexcept = default;
 Database::~Database() = default;
 
 Database Database::measure(const core::ParameterSpace& space,
@@ -392,7 +377,7 @@ Database Database::measure(const core::ParameterSpace& space,
                            const DatabaseOptions& options,
                            const varmodel::NoiseModel* noise,
                            std::uint64_t seed) {
-  Database db(space, options);
+  std::map<core::Point, double> table;
   util::Rng rng(seed);
 
   std::vector<std::vector<double>> axes;
@@ -401,16 +386,14 @@ Database Database::measure(const core::ParameterSpace& space,
     axes.push_back(axis_values(space.param(i), options.stride));
   }
 
-  // Cartesian product over the decimated axes.  Bulk inserts: no per-entry
-  // cache invalidation (the database is still private to this builder);
-  // the index is built once, lazily, on the first lookup.
+  // Cartesian product over the decimated axes.
   core::Point x(space.size());
   std::vector<std::size_t> idx(space.size(), 0);
   for (;;) {
     for (std::size_t i = 0; i < space.size(); ++i) x[i] = axes[i][idx[i]];
     double t = source.clean_time(x);
     if (noise != nullptr) t += noise->sample(t, rng);
-    db.insert_bulk(x, t);
+    table[x] = t;
     // Odometer increment.
     std::size_t axis = 0;
     while (axis < space.size() && ++idx[axis] == axes[axis].size()) {
@@ -419,34 +402,7 @@ Database Database::measure(const core::ParameterSpace& space,
     }
     if (axis == space.size()) break;
   }
-  return db;
-}
-
-void Database::insert_bulk(const core::Point& x, double time) {
-  assert(x.size() == space_.size());
-  assert(time > 0.0);
-  table_[x] = time;
-}
-
-void Database::insert(const core::Point& x, double time) {
-  assert(x.size() == space_.size());
-  assert(time > 0.0);
-  const auto [it, inserted] = table_.try_emplace(x, time);
-  if (!inserted) {
-    if (it->second == time) return;  // no observable change: keep everything
-    it->second = time;
-  }
-  // The new measurement may enter the k-NN set of any interpolated point,
-  // and shards are keyed by hash rather than by position, so every shard
-  // is potentially stale.  Invalidate in O(1): drop the index (rebuilt on
-  // next lookup) and bump the cache generation (shards reset lazily).
-  index_ptr_.store(nullptr, std::memory_order_release);
-  index_.reset();
-  cache_->epoch.fetch_add(1, std::memory_order_acq_rel);
-}
-
-std::uint64_t Database::version() const {
-  return cache_->epoch.load(std::memory_order_acquire);
+  return Database(space, options, std::move(table));
 }
 
 void Database::save(std::ostream& out) const {
@@ -459,7 +415,7 @@ void Database::save(std::ostream& out) const {
 
 Database Database::load(std::istream& in, core::ParameterSpace space,
                         DatabaseOptions options) {
-  Database db(std::move(space), options);
+  std::map<core::Point, double> table;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -477,80 +433,72 @@ Database Database::load(std::istream& in, core::ParameterSpace space,
       }
       fields.push_back(v);
     }
-    if (fields.size() != db.space_.size() + 1) {
+    if (fields.size() != space.size() + 1) {
       throw std::runtime_error("database load: arity mismatch at line " +
                                std::to_string(lineno));
     }
     const double time = fields.back();
     fields.pop_back();
-    db.insert_bulk(fields, time);
+    table[std::move(fields)] = time;
   }
-  return db;
+  return Database(std::move(space), options, std::move(table));
 }
 
-const Database::Index& Database::index() const {
-  if (const Index* idx = index_ptr_.load(std::memory_order_acquire)) {
-    return *idx;
+std::unique_ptr<const Database::Index> Database::Index::build(
+    const core::ParameterSpace& space,
+    const std::map<core::Point, double>& table) {
+  auto idx = std::make_unique<Index>();
+  idx->dim = space.size();
+  idx->n = table.size();
+  idx->range.reserve(idx->dim);
+  for (std::size_t d = 0; d < idx->dim; ++d) {
+    idx->range.push_back(space.param(d).range());
   }
-  const std::lock_guard lock(index_build_mutex_);
-  if (index_ == nullptr) {
-    auto idx = std::make_unique<Index>();
-    idx->dim = space_.size();
-    idx->n = table_.size();
-    idx->range.reserve(idx->dim);
-    for (std::size_t d = 0; d < idx->dim; ++d) {
-      idx->range.push_back(space_.param(d).range());
-    }
-    // Raw AoS copy in table order, then a row permutation from the
-    // recursive median splits, then the final SoA-per-row fill.
-    std::vector<double> rp(idx->n * idx->dim);
-    std::vector<double> rv(idx->n);
-    std::size_t r = 0;
-    for (const auto& [pt, val] : table_) {
-      std::copy(pt.begin(), pt.end(), rp.begin() + r * idx->dim);
-      rv[r] = val;
-      ++r;
-    }
-    if (idx->n > 0) {
-      std::vector<std::uint32_t> rows(idx->n);
-      for (std::uint32_t i = 0; i < idx->n; ++i) rows[i] = i;
-      Index::build_node(*idx, rows, rp, 0, static_cast<std::uint32_t>(idx->n));
-      idx->pts.resize(idx->n * idx->dim);
-      idx->vals.resize(idx->n);
-      for (std::size_t i = 0; i < idx->n; ++i) {
-        const std::size_t src = rows[i];
-        std::copy(rp.begin() + src * idx->dim,
-                  rp.begin() + (src + 1) * idx->dim,
-                  idx->pts.begin() + i * idx->dim);
-        idx->vals[i] = rv[src];
-      }
-      // Exact-hit table at load factor <= 0.5.
-      std::size_t cap = 16;
-      while (cap < idx->n * 2) cap *= 2;
-      idx->slot_hash.assign(cap, 0);
-      idx->slot_row.assign(cap, 0);
-      const std::size_t mask = cap - 1;
-      core::Point tmp(idx->dim);
-      for (std::size_t i = 0; i < idx->n; ++i) {
-        std::copy(idx->pts.begin() + i * idx->dim,
-                  idx->pts.begin() + (i + 1) * idx->dim, tmp.begin());
-        const std::uint64_t h = point_hash(tmp);
-        std::size_t pos = h & mask;
-        while (idx->slot_hash[pos] != 0) pos = (pos + 1) & mask;
-        idx->slot_hash[pos] = h;
-        idx->slot_row[pos] = static_cast<std::uint32_t>(i);
-      }
-    }
-    index_ = std::move(idx);
-    index_ptr_.store(index_.get(), std::memory_order_release);
+  // Raw AoS copy in table order, then a row permutation from the
+  // recursive median splits, then the final SoA-per-row fill.
+  std::vector<double> rp(idx->n * idx->dim);
+  std::vector<double> rv(idx->n);
+  std::size_t r = 0;
+  for (const auto& [pt, val] : table) {
+    std::copy(pt.begin(), pt.end(), rp.begin() + r * idx->dim);
+    rv[r] = val;
+    ++r;
   }
-  return *index_;
+  if (idx->n > 0) {
+    std::vector<std::uint32_t> rows(idx->n);
+    for (std::uint32_t i = 0; i < idx->n; ++i) rows[i] = i;
+    Index::build_node(*idx, rows, rp, 0, static_cast<std::uint32_t>(idx->n));
+    idx->pts.resize(idx->n * idx->dim);
+    idx->vals.resize(idx->n);
+    for (std::size_t i = 0; i < idx->n; ++i) {
+      const std::size_t src = rows[i];
+      std::copy(rp.begin() + src * idx->dim,
+                rp.begin() + (src + 1) * idx->dim,
+                idx->pts.begin() + i * idx->dim);
+      idx->vals[i] = rv[src];
+    }
+    // Exact-hit table at load factor <= 0.5.
+    std::size_t cap = 16;
+    while (cap < idx->n * 2) cap *= 2;
+    idx->slot_hash.assign(cap, 0);
+    idx->slot_row.assign(cap, 0);
+    const std::size_t mask = cap - 1;
+    core::Point tmp(idx->dim);
+    for (std::size_t i = 0; i < idx->n; ++i) {
+      std::copy(idx->pts.begin() + i * idx->dim,
+                idx->pts.begin() + (i + 1) * idx->dim, tmp.begin());
+      const std::uint64_t h = point_hash(tmp);
+      std::size_t pos = h & mask;
+      while (idx->slot_hash[pos] != 0) pos = (pos + 1) & mask;
+      idx->slot_hash[pos] = h;
+      idx->slot_row[pos] = static_cast<std::uint32_t>(i);
+    }
+  }
+  return idx;
 }
 
 std::optional<double> Database::exact(const core::Point& x) const {
-  if (table_.empty()) return std::nullopt;
-  const Index& idx = index();
-  if (const double* v = idx.exact_find(point_hash(x), x)) return *v;
+  if (const double* v = index_->exact_find(point_hash(x), x)) return *v;
   return std::nullopt;
 }
 
@@ -612,7 +560,7 @@ std::vector<double> Database::decimate_axis(std::vector<double> all,
 }
 
 double Database::interpolate_uncached(const core::Point& x) const {
-  return interpolate_indexed(index(), x);
+  return interpolate_indexed(*index_, x);
 }
 
 double Database::interpolate_indexed(const Index& idx,
@@ -639,7 +587,7 @@ double Database::interpolate_indexed(const Index& idx,
 
 double Database::clean_time(const core::Point& x) const {
   assert(x.size() == space_.size());
-  const Index& idx = index();
+  const Index& idx = *index_;
   const std::uint64_t h = point_hash(x);
   TierCounters& tiers = tier_counters();
   if (const double* v = idx.exact_find(h, x)) {
@@ -648,14 +596,11 @@ double Database::clean_time(const core::Point& x) const {
   }
 
   Cache::Shard& shard = cache_->shard(h);
-  const std::uint64_t now = cache_->epoch.load(std::memory_order_acquire);
   {
     const std::shared_lock lock(shard.mutex);
-    if (shard.epoch == now) {
-      if (const double* v = shard.map.find(h, x)) {
-        tiers.memo.add();
-        return *v;
-      }
+    if (const double* v = shard.map.find(h, x)) {
+      tiers.memo.add();
+      return *v;
     }
   }
 
@@ -664,10 +609,6 @@ double Database::clean_time(const core::Point& x) const {
 
   {
     const std::unique_lock lock(shard.mutex);
-    if (shard.epoch != now) {
-      shard.map.clear();
-      shard.epoch = now;
-    }
     shard.map.insert(h, x, value);
   }
   return value;
@@ -677,8 +618,7 @@ void Database::clean_times(std::span<const core::Point> xs,
                            std::span<double> out) const {
   assert(xs.size() == out.size());
   if (xs.empty()) return;
-  const Index& idx = index();
-  const std::uint64_t now = cache_->epoch.load(std::memory_order_acquire);
+  const Index& idx = *index_;
 
   // Per-thread scratch: hashes and the indices of cache misses.
   thread_local std::vector<std::uint64_t> hashes;
@@ -703,12 +643,10 @@ void Database::clean_times(std::span<const core::Point> xs,
     }
     Cache::Shard& shard = cache_->shard(h);
     const std::shared_lock lock(shard.mutex);
-    if (shard.epoch == now) {
-      if (const double* v = shard.map.find(h, x)) {
-        out[i] = *v;
-        ++memo_hits;
-        continue;
-      }
+    if (const double* v = shard.map.find(h, x)) {
+      out[i] = *v;
+      ++memo_hits;
+      continue;
     }
     misses.push_back(i);
   }
@@ -735,10 +673,6 @@ void Database::clean_times(std::span<const core::Point> xs,
     out[i] = interpolate_indexed(idx, xs[i]);
     Cache::Shard& shard = cache_->shard(hashes[i]);
     const std::unique_lock lock(shard.mutex);
-    if (shard.epoch != now) {
-      shard.map.clear();
-      shard.epoch = now;
-    }
     shard.map.insert(hashes[i], xs[i], out[i]);
   }
 }

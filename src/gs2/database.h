@@ -16,21 +16,16 @@
 //   3. interpolation  — k-NN over a k-d tree built on the stored points
 //                       (O(log N + k) instead of the former O(N) scan),
 //                       bit-identical to the brute-force reference.
-// The index and the exact table are built once per table revision (after
-// measure()/load(), lazily after insert()); insert() invalidates the memo
-// cache in O(1) by bumping a generation counter.
+// A Database never changes once constructed: the constructor builds the
+// index and the exact table, and a memoised value never goes stale.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -54,13 +49,15 @@ struct DatabaseOptions {
 /// A sparse table of (configuration -> measured time) implementing
 /// core::Landscape via weighted-nearest-neighbour lookup.
 ///
-/// Concurrency contract (unchanged from the sharded-map revision): any
-/// number of threads may call clean_time()/clean_times()/exact()
-/// concurrently; insert() and load-time mutation must not race with
-/// readers.
+/// Immutable once constructed, so any number of threads may call
+/// clean_time()/clean_times()/exact() concurrently.
 class Database final : public core::Landscape {
  public:
-  Database(core::ParameterSpace space, DatabaseOptions options);
+  /// Takes the whole table and builds the interpolation index and the
+  /// exact-hit table.  Throws std::invalid_argument unless every key has
+  /// space.size() coordinates and every time is positive.
+  Database(core::ParameterSpace space, DatabaseOptions options,
+           std::map<core::Point, double> table);
   Database(Database&&) noexcept;
   Database& operator=(Database&&) noexcept;
   ~Database() override;
@@ -74,18 +71,13 @@ class Database final : public core::Landscape {
                           const varmodel::NoiseModel* noise = nullptr,
                           std::uint64_t seed = 0);
 
-  /// Adds or overwrites one measurement.  Storing the value already present
-  /// is a no-op; otherwise the interpolation index is rebuilt (lazily, on
-  /// the next lookup) and the memo cache is invalidated in O(1).
-  void insert(const core::Point& x, double time);
-
   /// Writes all entries as CSV (one row per measurement: the coordinates
   /// followed by the time).  Interpolation options are not persisted.
   void save(std::ostream& out) const;
 
   /// Reads entries previously written by save() into a new database over
   /// `space`.  Throws std::runtime_error on malformed input or arity
-  /// mismatch.
+  /// mismatch, and std::invalid_argument on a non-positive time.
   static Database load(std::istream& in, core::ParameterSpace space,
                        DatabaseOptions options = {});
 
@@ -106,11 +98,6 @@ class Database final : public core::Landscape {
                    std::span<double> out) const override;
 
   std::string name() const override { return "GS2Database"; }
-
-  /// Bumped by insert(): the same generation counter that invalidates the
-  /// memo cache also tells step evaluators their cached clean times are
-  /// stale (core::Landscape::version contract).
-  std::uint64_t version() const override;
 
   /// Brute-force O(N) interpolation (the pre-index implementation), kept as
   /// the behavioural reference: the indexed path must reproduce it
@@ -138,16 +125,6 @@ class Database final : public core::Landscape {
   double normalized_distance2(const core::Point& a,
                               const core::Point& b) const;
 
-  /// Table insert without index/cache invalidation — the bulk path used by
-  /// measure()/load() while the database is still private to its builder
-  /// (the index is built once, lazily, on the first lookup).
-  void insert_bulk(const core::Point& x, double time);
-
-  /// Returns the interpolation index, building it on first use after a
-  /// table revision.  Thread-safe: concurrent readers may race to build;
-  /// one wins, the others wait on the build mutex.
-  const Index& index() const;
-
   /// Interpolates a cache miss through the index (k-NN + IDW),
   /// bit-identical to interpolate_reference.
   double interpolate_indexed(const Index& idx, const core::Point& x) const;
@@ -156,11 +133,8 @@ class Database final : public core::Landscape {
   DatabaseOptions options_;
   std::map<core::Point, double> table_;
 
-  // Lazily built spatial index over table_.  The atomic pointer is the
-  // fast-path guard; the mutex serializes (re)builds.
-  mutable std::unique_ptr<Index> index_;
-  mutable std::atomic<const Index*> index_ptr_{nullptr};
-  mutable std::mutex index_build_mutex_;
+  // Spatial index over table_, built by the constructor.
+  std::unique_ptr<const Index> index_;
 
   // Interpolated lookups are memoised: the admissible space is finite, so
   // repeated tuning sweeps hit the cache.  Sharded by point hash with a
@@ -170,16 +144,8 @@ class Database final : public core::Landscape {
   // the same value.  Shards hold open-addressing flat maps keyed by the
   // precomputed point hash: the read path does no node allocation and no
   // lexicographic Point comparisons (only a hash compare plus one vector
-  // equality on a hash match).
-  //
-  // Invalidation: shard assignment is by point *hash*, not by position, so
-  // a single inserted measurement can change the interpolated value of a
-  // point in any shard (it may enter any point's k-NN set) — selective
-  // per-shard invalidation is impossible and a full clear is semantically
-  // required.  Instead of eagerly locking and clearing all shards per
-  // insert, insert() bumps `epoch`; each shard lazily resets itself the
-  // next time it is touched under its own lock.  Held by pointer to keep
-  // Database movable.
+  // equality on a hash match).  The table never changes, so an entry is
+  // never invalidated.  Held by pointer to keep Database movable.
   struct Cache;
   mutable std::unique_ptr<Cache> cache_;
 };

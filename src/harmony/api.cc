@@ -1,11 +1,7 @@
 #include "harmony/api.h"
 
-#include <algorithm>
 #include <cassert>
 
-#include "core/nelder_mead.h"
-#include "core/pro.h"
-#include "core/sro.h"
 #include "core/strategy_spec.h"
 
 namespace protuner::harmony {
@@ -28,38 +24,8 @@ SessionBuilder& SessionBuilder::add_discrete(std::string name,
   return *this;
 }
 
-SessionBuilder& SessionBuilder::algorithm(Algorithm algo) {
-  algo_ = algo;
-  return *this;
-}
-
 SessionBuilder& SessionBuilder::strategy_spec(std::string spec) {
   strategy_spec_ = std::move(spec);
-  return *this;
-}
-
-SessionBuilder& SessionBuilder::noise_spec(std::string spec) {
-  noise_spec_ = std::move(spec);
-  return *this;
-}
-
-SessionBuilder& SessionBuilder::samples(int k) {
-  assert(k >= 1);
-  samples_ = k;
-  adaptive_ = false;
-  return *this;
-}
-
-SessionBuilder& SessionBuilder::adaptive_samples(int max_k) {
-  assert(max_k >= 1);
-  adaptive_ = true;
-  max_samples_ = max_k;
-  return *this;
-}
-
-SessionBuilder& SessionBuilder::initial_simplex_size(double r) {
-  assert(r > 0.0);
-  initial_size_ = r;
   return *this;
 }
 
@@ -102,44 +68,9 @@ core::ParameterSpace SessionBuilder::space() const {
 }
 
 std::unique_ptr<Server> SessionBuilder::build() const {
-  assert(!params_.empty());
   const core::ParameterSpace sp = space();
-  if (!strategy_spec_.empty()) {
-    return std::make_unique<Server>(core::make_strategy(strategy_spec_, sp),
-                                    clients_, server_options_);
-  }
-  core::TuningStrategyPtr strategy;
-  switch (algo_) {
-    case Algorithm::kPro: {
-      core::ProOptions o;
-      o.initial_size = initial_size_;
-      o.samples = samples_;
-      o.max_samples = std::max(o.max_samples, samples_);
-      if (adaptive_) {
-        o.adaptive_samples = true;
-        o.max_samples = max_samples_;
-        o.refresh_best = true;
-      }
-      strategy = std::make_unique<core::ProStrategy>(sp, o);
-      break;
-    }
-    case Algorithm::kSro: {
-      core::SroOptions o;
-      o.initial_size = initial_size_;
-      o.samples = samples_;
-      strategy = std::make_unique<core::SroStrategy>(sp, o);
-      break;
-    }
-    case Algorithm::kNelderMead: {
-      core::NelderMeadOptions o;
-      o.initial_size = initial_size_;
-      o.samples = samples_;
-      strategy = std::make_unique<core::NelderMeadStrategy>(sp, o);
-      break;
-    }
-  }
-  return std::make_unique<Server>(std::move(strategy), clients_,
-                                  server_options_);
+  return std::make_unique<Server>(core::make_strategy(strategy_spec_, sp),
+                                  clients_, server_options_);
 }
 
 }  // namespace protuner::harmony

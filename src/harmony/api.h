@@ -6,10 +6,9 @@
 //   harmony::SessionBuilder builder;
 //   builder.add_int("negrid", 8, 64)
 //          .add_discrete("nodes", {4, 8, 16, 32, 64})
-//          .algorithm(harmony::Algorithm::kPro)
-//          .samples(3)
+//          .strategy_spec("pro:k=3")
 //          .clients(8);
-//   harmony::Server server = builder.build();
+//   std::unique_ptr<harmony::Server> server = builder.build();
 //
 // The returned Server speaks the fetch/report protocol (see server.h) from
 // any number of concurrent ranks.
@@ -24,12 +23,6 @@
 
 namespace protuner::harmony {
 
-enum class Algorithm {
-  kPro,         ///< Parallel Rank Ordering (the paper's algorithm; default)
-  kSro,         ///< Sequential Rank Ordering
-  kNelderMead,  ///< the original Active Harmony optimizer
-};
-
 class SessionBuilder {
  public:
   /// Tunable declarations (chainable).
@@ -37,24 +30,11 @@ class SessionBuilder {
   SessionBuilder& add_continuous(std::string name, double lo, double hi);
   SessionBuilder& add_discrete(std::string name, std::vector<double> values);
 
-  /// Optimizer selection and knobs.
-  SessionBuilder& algorithm(Algorithm algo);
-  /// Declarative optimizer selection (DESIGN.md §13): any registered
-  /// strategy spec, e.g. "pro:k=4" or "spsa:a=0.2,c=0.1".  Overrides
-  /// algorithm()/samples()/initial_simplex_size(); pass an empty string to
-  /// return to the enum path.  The spec is validated (names, keys, ranges)
-  /// at build() time.
+  /// Optimizer selection (DESIGN.md §13): any registered strategy spec,
+  /// e.g. "pro:k=4", "sro" or "spsa:a=0.2,c=0.1".  Defaults to "pro".  The
+  /// spec is validated (names, keys, ranges) at build() time.
   SessionBuilder& strategy_spec(std::string spec);
-  /// Declarative noise expectation, e.g. "pareto:rho=0.1,alpha=1.7".  The
-  /// server does not simulate noise — this is carried for client harnesses
-  /// (examples/, loadgen) that build their synthetic environment from the
-  /// same session description.
-  SessionBuilder& noise_spec(std::string spec);
   const std::string& strategy_spec() const { return strategy_spec_; }
-  const std::string& noise_spec() const { return noise_spec_; }
-  SessionBuilder& samples(int k);            ///< min-of-K sampling (§5.2)
-  SessionBuilder& adaptive_samples(int max_k);  ///< future-work adaptive K
-  SessionBuilder& initial_simplex_size(double r);
   SessionBuilder& clients(std::size_t n);    ///< ranks that will fetch/report
 
   /// Deadline-aware round closing (see ServerOptions): rounds open longer
@@ -80,13 +60,7 @@ class SessionBuilder {
 
  private:
   std::vector<core::Parameter> params_;
-  std::string strategy_spec_;
-  std::string noise_spec_;
-  Algorithm algo_ = Algorithm::kPro;
-  int samples_ = 1;
-  bool adaptive_ = false;
-  int max_samples_ = 8;
-  double initial_size_ = 0.2;
+  std::string strategy_spec_ = "pro";
   std::size_t clients_ = 1;
   ServerOptions server_options_;
 };

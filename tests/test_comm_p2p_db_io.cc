@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "comm/spmd.h"
@@ -111,6 +112,17 @@ TEST(DatabaseIo, LoadRejectsGarbage) {
   EXPECT_THROW((void)gs2::Database::load(buffer, space), std::runtime_error);
 }
 
+TEST(DatabaseIo, RejectsNonPositiveTimesAndWrongArity) {
+  const core::ParameterSpace space({core::Parameter::integer("x", 0, 9)});
+  std::stringstream buffer("1,2.5\n3,-4.5\n");
+  EXPECT_THROW((void)gs2::Database::load(buffer, space),
+               std::invalid_argument);
+  EXPECT_THROW(gs2::Database(space, {}, {{core::Point{1.0}, 0.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(gs2::Database(space, {}, {{core::Point{1.0, 2.0}, 1.0}}),
+               std::invalid_argument);
+}
+
 TEST(DatabaseIo, LoadSkipsEmptyLines) {
   const core::ParameterSpace space({core::Parameter::integer("x", 0, 9)});
   std::stringstream buffer("1,2.5\n\n3,4.5\n");
@@ -121,8 +133,7 @@ TEST(DatabaseIo, LoadSkipsEmptyLines) {
 
 TEST(DatabaseIo, RoundTripPreservesFullPrecision) {
   const core::ParameterSpace space({core::Parameter::integer("x", 0, 9)});
-  gs2::Database db(space, {});
-  db.insert(core::Point{1.0}, 0.12345678901234567);
+  const gs2::Database db(space, {}, {{core::Point{1.0}, 0.12345678901234567}});
   std::stringstream buffer;
   db.save(buffer);
   const gs2::Database loaded = gs2::Database::load(buffer, space);

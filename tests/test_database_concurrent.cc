@@ -2,8 +2,7 @@
 // (min 4) threads issue overlapping scalar and batch lookups against one
 // shared Database, including simultaneous miss-recompute of the same point.
 // Run under -DPROTUNER_SANITIZE=thread this covers the sharded
-// shared_mutex read path, the lazy index build race and the epoch-based
-// invalidation handshake.
+// shared_mutex read path and racing inserts of the same memo entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>

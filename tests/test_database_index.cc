@@ -158,27 +158,11 @@ TEST(DatabaseIndex, SignedZeroQueryHitsPositiveZeroEntry) {
   // (easily produced by simplex arithmetic) must take the exact-hit path.
   core::ParameterSpace space({core::Parameter::integer("x", 0, 10),
                               core::Parameter::integer("y", 0, 10)});
-  Database db(space, {.stride = 1, .interpolation_neighbors = 1});
-  db.insert(core::Point{0.0, 5.0}, 3.5);
-  db.insert(core::Point{10.0, 5.0}, 9.0);
+  const Database db(space, {.stride = 1, .interpolation_neighbors = 1},
+                    {{core::Point{0.0, 5.0}, 3.5},
+                     {core::Point{10.0, 5.0}, 9.0}});
   EXPECT_EQ(db.clean_time(core::Point{-0.0, 5.0}), 3.5);
   EXPECT_TRUE(db.exact(core::Point{-0.0, 5.0}).has_value());
-}
-
-TEST(DatabaseIndex, InsertRebuildsIndexAndInvalidatesCache) {
-  core::ParameterSpace space({core::Parameter::integer("x", 0, 100)});
-  Database db(space, {.stride = 1, .interpolation_neighbors = 1});
-  db.insert(core::Point{0.0}, 1.0);
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 1.0);  // memoised
-  db.insert(core::Point{60.0}, 42.0);
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 42.0);
-  // Re-inserting an existing measurement with its existing value is a no-op
-  // and must not disturb lookups.
-  db.insert(core::Point{60.0}, 42.0);
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 42.0);
-  // Overwriting with a new value takes effect.
-  db.insert(core::Point{60.0}, 7.0);
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{50.0}), 7.0);
 }
 
 TEST(DatabaseIndex, DecimateAxisHandlesDegenerateAxes) {
@@ -203,10 +187,10 @@ TEST(DatabaseIndex, MovedDatabaseStillAnswers) {
   const auto space = gs2_space();
   Database db = Database::measure(space, surface, {});
   const core::Point off{16.0, 9.0, 4.0};
-  const double expect = db.clean_time(off);  // builds index + memoises
+  const double expect = db.clean_time(off);  // memoises
   Database moved = std::move(db);
   EXPECT_EQ(moved.clean_time(off), expect);
-  Database assigned(space, {});
+  Database assigned(space, {}, {});
   assigned = std::move(moved);
   EXPECT_EQ(assigned.clean_time(off), expect);
 }

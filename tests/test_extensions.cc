@@ -182,8 +182,7 @@ TEST(SessionBuilder, BuildsWorkingProServer) {
   harmony::SessionBuilder builder;
   builder.add_int("a", 0, 20)
       .add_int("b", 0, 20)
-      .algorithm(harmony::Algorithm::kPro)
-      .samples(2)
+      .strategy_spec("pro:k=2")
       .clients(4);
   EXPECT_EQ(builder.parameter_count(), 2u);
   auto server = builder.build();
@@ -200,10 +199,9 @@ TEST(SessionBuilder, BuildsWorkingProServer) {
 }
 
 TEST(SessionBuilder, SupportsAllAlgorithms) {
-  for (auto algo : {harmony::Algorithm::kPro, harmony::Algorithm::kSro,
-                    harmony::Algorithm::kNelderMead}) {
+  for (const char* text : {"pro", "sro", "nm"}) {
     harmony::SessionBuilder builder;
-    builder.add_int("a", 0, 10).algorithm(algo).clients(2);
+    builder.add_int("a", 0, 10).strategy_spec(text).clients(2);
     auto server = builder.build();
     // One full round must complete without deadlock.
     std::vector<core::Point> cfgs;
@@ -213,18 +211,14 @@ TEST(SessionBuilder, SupportsAllAlgorithms) {
   }
 }
 
-TEST(SessionBuilder, StrategySpecOverridesEnumAlgorithm) {
-  // A declarative spec (DESIGN.md §13) takes precedence over the enum
-  // setters; any registered strategy is reachable without a new enum value.
+TEST(SessionBuilder, StrategySpecReachesAnyRegisteredStrategy) {
+  // A declarative spec (DESIGN.md §13) selects the optimizer; any
+  // registered strategy is reachable through the serving tier.
+  EXPECT_EQ(harmony::SessionBuilder{}.strategy_spec(), "pro");
   for (const char* text : {"pro:k=2", "spsa:a=0.3", "rs:m=8,n0=2"}) {
     harmony::SessionBuilder builder;
-    builder.add_int("a", 0, 20)
-        .algorithm(harmony::Algorithm::kNelderMead)  // overridden below
-        .strategy_spec(text)
-        .noise_spec("pareto:rho=0.2,alpha=1.7")
-        .clients(3);
+    builder.add_int("a", 0, 20).strategy_spec(text).clients(3);
     EXPECT_EQ(builder.strategy_spec(), text);
-    EXPECT_EQ(builder.noise_spec(), "pareto:rho=0.2,alpha=1.7");
     auto server = builder.build();
     std::vector<core::Point> cfgs;
     for (std::size_t r = 0; r < 3; ++r) cfgs.push_back(server->fetch(r));
@@ -255,7 +249,9 @@ TEST(SessionBuilder, MixedParameterKinds) {
 
 TEST(SessionBuilder, AdaptiveSamplingServerRuns) {
   harmony::SessionBuilder builder;
-  builder.add_int("a", 0, 20).adaptive_samples(4).clients(4);
+  builder.add_int("a", 0, 20)
+      .strategy_spec("pro:adaptive=1,max_k=4")
+      .clients(4);
   auto server = builder.build();
   const core::QuadraticLandscape land(core::Point{9.0}, 1.0, 0.5);
   util::Rng rng(9);

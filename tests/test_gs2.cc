@@ -99,23 +99,12 @@ TEST(Database, InterpolatesOffGridPoints) {
 
 TEST(Database, InterpolationIsWeightedTowardNearestNeighbor) {
   core::ParameterSpace space({core::Parameter::integer("x", 0, 10)});
-  Database db(space, {.stride = 1, .interpolation_neighbors = 2});
-  db.insert(core::Point{0.0}, 1.0);
-  db.insert(core::Point{10.0}, 11.0);
+  const Database db(space, {.stride = 1, .interpolation_neighbors = 2},
+                    {{core::Point{0.0}, 1.0}, {core::Point{10.0}, 11.0}});
   const double near_low = db.clean_time(core::Point{1.0});
   const double near_high = db.clean_time(core::Point{9.0});
   EXPECT_LT(near_low, 6.0);
   EXPECT_GT(near_high, 6.0);
-}
-
-TEST(Database, InsertInvalidatesInterpolationCache) {
-  core::ParameterSpace space({core::Parameter::integer("x", 0, 10)});
-  Database db(space, {.stride = 1, .interpolation_neighbors = 1});
-  db.insert(core::Point{0.0}, 1.0);
-  const double before = db.clean_time(core::Point{5.0});
-  EXPECT_DOUBLE_EQ(before, 1.0);
-  db.insert(core::Point{6.0}, 42.0);
-  EXPECT_DOUBLE_EQ(db.clean_time(core::Point{5.0}), 42.0);
 }
 
 TEST(Database, MeasurementNoiseBakedIn) {
